@@ -42,10 +42,11 @@ struct Database {
   // Property used when rendering nodes in result output (optional).
   graph::KeyId display_name_key = graph::kInvalidKey;
 
-  // Lazily-built CSR snapshot shared by analytics fast paths (the
-  // executor's variable-length closure kernel). Populated by Plain /
-  // MakeFrappeDatabase; a null cache disables the fast path. Call
-  // csr->Invalidate() after mutating the underlying graph.
+  // Lazily-built CSR snapshot shared by the executor's closure kernel (the
+  // variable-length MATCH fast path and the WHERE reachability predicate).
+  // Populated by Plain / MakeFrappeDatabase; a null cache makes both fall
+  // back to path enumeration. Call csr->Invalidate() after mutating the
+  // underlying graph.
   std::shared_ptr<graph::CsrCache> csr;
 
   // Cardinality statistics feeding the plan estimator (est_rows /

@@ -337,30 +337,120 @@ class Engine {
   Status Tick() {
     ++steps_;
     if (options_.max_steps > 0 && steps_ > options_.max_steps) {
-      return Status::ResourceExhausted(
-          "query exceeded step budget of " +
-          std::to_string(options_.max_steps));
+      return StepBudgetExceeded();
     }
     // Progress publication, the cancel token, and the deadline clock all
     // share one cadence: cheap inner-loop work pays only the mask test.
     if ((steps_ & (kDeadlineCheckInterval - 1)) == 0) {
       if (options_.progress != nullptr) PublishProgress();
-      if (options_.cancel != nullptr &&
-          options_.cancel->load(std::memory_order_relaxed)) {
-        return Status::Cancelled("query cancelled");
-      }
-      if (has_deadline_ && std::chrono::steady_clock::now() > deadline_) {
-        return Status::DeadlineExceeded(
-            "query exceeded deadline of " +
-            std::to_string(options_.deadline_ms) + "ms");
-      }
-      if (tracker_ != nullptr && tracker_->OverBudget()) {
-        return Status::ResourceExhausted(
-            "query exceeded memory budget of " +
-            std::to_string(tracker_->budget_bytes()) + " bytes");
-      }
+      return PollBudgets();
     }
     return Status::OK();
+  }
+
+  // The cancel token, the deadline clock and the memory budget: polled on
+  // Tick's cadence and before every kernel dispatch.
+  Status PollBudgets() const {
+    if (options_.cancel != nullptr &&
+        options_.cancel->load(std::memory_order_relaxed)) {
+      return Status::Cancelled("query cancelled");
+    }
+    if (has_deadline_ && std::chrono::steady_clock::now() > deadline_) {
+      return DeadlineExceeded();
+    }
+    if (tracker_ != nullptr && tracker_->OverBudget()) {
+      return Status::ResourceExhausted(
+          "query exceeded memory budget of " +
+          std::to_string(tracker_->budget_bytes()) + " bytes");
+    }
+    return Status::OK();
+  }
+
+  Status StepBudgetExceeded() const {
+    return Status::ResourceExhausted("query exceeded step budget of " +
+                                     std::to_string(options_.max_steps));
+  }
+  Status DeadlineExceeded() const {
+    return Status::DeadlineExceeded("query exceeded deadline of " +
+                                    std::to_string(options_.deadline_ms) +
+                                    "ms");
+  }
+
+  // Runs the CSR closure kernel from `seed` (every node reached over >= 1
+  // edge within `max_length` hops) under what is left of the query's
+  // budgets: the remaining max_steps and deadline, the cancel token, and —
+  // through the kernel's flush polls — the memory budget. Charges the
+  // kernel's edge scans as steps, edge db-hits and scanned bytes, records
+  // the PROFILE frontier/direction/lanes detail on the current operator,
+  // and re-phrases kernel failures in the executor's vocabulary. Both
+  // kernel callers (the MATCH fast path and the WHERE reachability
+  // predicate) go through here, so they obey one contract.
+  Result<std::vector<NodeId>> RunClosureKernel(NodeId seed,
+                                               const graph::EdgeFilter& filter,
+                                               uint32_t max_length) {
+    FRAPPE_RETURN_IF_ERROR(PollBudgets());
+    graph::analytics::Options opt;
+    opt.threads = options_.threads;
+    opt.cancel = options_.cancel;
+    if (max_length != kUnboundedLength) opt.max_depth = max_length;
+    if (options_.max_steps > 0) {
+      opt.max_steps =
+          options_.max_steps > steps_ ? options_.max_steps - steps_ : 1;
+    }
+    if (has_deadline_) {
+      int64_t remaining_ms =
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              deadline_ - std::chrono::steady_clock::now())
+              .count();
+      opt.deadline_ms = remaining_ms > 0 ? remaining_ms : 1;
+    }
+
+    const graph::CsrView& csr = db_.csr->Get(*db_.view);
+    graph::analytics::Metrics metrics;
+    auto members = [&] {
+      FRAPPE_TRACE_SPAN("executor.csr_closure");
+      return graph::analytics::ParallelClosure(csr, {seed}, filter, opt,
+                                               &metrics);
+    }();
+    steps_ += metrics.steps;
+    hits_.edges += metrics.steps;  // each kernel step scans one edge
+    csr_edge_hits_ += metrics.steps;
+    csr_scanned_bytes_ += metrics.scanned_bytes;
+    fast_path_op_ = true;
+    // Frontier trajectory of the widest run this clause dispatched; the
+    // direction decisions ride with it, so PROFILE shows one consistent run.
+    if (metrics.frontier_sizes.size() > fp_frontier_sizes_.size()) {
+      fp_frontier_sizes_ = metrics.frontier_sizes;
+      fp_level_pull_ = metrics.level_pull;
+      fp_level_bitmap_ = metrics.level_bitmap;
+      fp_direction_switches_ = metrics.direction_switches;
+    }
+    fp_lanes_ = std::max(fp_lanes_, metrics.lanes_used);
+    if (!members.ok()) {
+      // Memory-budget breaches pass through untouched: their message
+      // already names the cap, and rewriting them as a step-budget error
+      // would misattribute the failure.
+      switch (members.status().code()) {
+        case StatusCode::kResourceExhausted:
+          if (members.status().message().find("memory") !=
+              std::string::npos) {
+            return members.status();
+          }
+          return StepBudgetExceeded();
+        case StatusCode::kDeadlineExceeded:
+          return DeadlineExceeded();
+        case StatusCode::kCancelled:
+          return Status::Cancelled("query cancelled");
+        default:
+          return members.status();
+      }
+    }
+    // The kernel polls its step budget per flush, so a run can finish a
+    // little past it; the charge above is exact.
+    if (options_.max_steps > 0 && steps_ > options_.max_steps) {
+      return StepBudgetExceeded();
+    }
+    return members;
   }
 
   void PublishProgress() {
@@ -513,72 +603,9 @@ class Engine {
     graph::EdgeFilter filter;
     filter.direction = reversed ? Flip(rel.direction) : rel.direction;
     if (!rel.any_type) filter.types = rel.types;
-
-    graph::analytics::Options opt;
-    opt.threads = options_.threads;
-    opt.cancel = options_.cancel;
-    if (rel.max_length != kUnboundedLength) opt.max_depth = rel.max_length;
-    // Hand the kernel the remaining budget so a breach surfaces with the
-    // same codes (and comparable timing) as the enumerating path.
-    if (options_.max_steps > 0) {
-      opt.max_steps =
-          options_.max_steps > steps_ ? options_.max_steps - steps_ : 1;
-    }
-    if (has_deadline_) {
-      int64_t remaining_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline_ - std::chrono::steady_clock::now())
-              .count();
-      opt.deadline_ms = remaining_ms > 0 ? remaining_ms : 1;
-    }
-
-    const graph::CsrView& csr = db_.csr->Get(*db_.view);
-    graph::analytics::Metrics metrics;
-    auto members = [&] {
-      FRAPPE_TRACE_SPAN("executor.csr_closure");
-      return graph::analytics::ParallelClosure(csr, {seed}, filter, opt,
-                                               &metrics);
-    }();
-    steps_ += metrics.steps;
-    hits_.edges += metrics.steps;  // each kernel step scans one edge
-    csr_edge_hits_ += metrics.steps;
-    csr_scanned_bytes_ += metrics.scanned_bytes;
     fast_path_taken_ = true;
-    fast_path_op_ = true;
-    // Frontier trajectory of the widest run this clause dispatched (one
-    // kernel call per input row; typically exactly one).
-    if (metrics.frontier_sizes.size() > fp_frontier_sizes_.size()) {
-      fp_frontier_sizes_ = metrics.frontier_sizes;
-      // Direction decisions ride with the frontier trajectory they
-      // annotate, so PROFILE shows one consistent run.
-      fp_level_pull_ = metrics.level_pull;
-      fp_level_bitmap_ = metrics.level_bitmap;
-      fp_direction_switches_ = metrics.direction_switches;
-    }
-    fp_lanes_ = std::max(fp_lanes_, metrics.lanes_used);
-    if (!members.ok()) {
-      // Re-phrase kernel budget errors in the executor's vocabulary.
-      // Memory-budget breaches pass through untouched: their message
-      // already names the cap, and rewriting them as a step-budget error
-      // would misattribute the failure.
-      if (members.status().code() == StatusCode::kResourceExhausted) {
-        if (members.status().message().find("memory") != std::string::npos) {
-          return members.status();
-        }
-        return Status::ResourceExhausted(
-            "query exceeded step budget of " +
-            std::to_string(options_.max_steps));
-      }
-      if (members.status().code() == StatusCode::kDeadlineExceeded) {
-        return Status::DeadlineExceeded(
-            "query exceeded deadline of " +
-            std::to_string(options_.deadline_ms) + "ms");
-      }
-      if (members.status().code() == StatusCode::kCancelled) {
-        return Status::Cancelled("query cancelled");
-      }
-      return members.status();
-    }
+    FRAPPE_ASSIGN_OR_RETURN(std::vector<NodeId> members,
+                            RunClosureKernel(seed, filter, rel.max_length));
 
     auto emit = [&](NodeId node) -> Status {
       if (!NodeSatisfies(target, node)) return Status::OK();
@@ -591,16 +618,17 @@ class Engine {
     // `*0..` includes the zero-length path unless the closure already
     // reached the seed through a cycle.
     if (rel.min_length == 0 &&
-        !std::binary_search(members->begin(), members->end(), seed)) {
+        !std::binary_search(members.begin(), members.end(), seed)) {
       FRAPPE_RETURN_IF_ERROR(emit(seed));
     }
-    for (NodeId node : *members) {
+    for (NodeId node : members) {
       FRAPPE_RETURN_IF_ERROR(emit(node));
     }
     return true;
   }
 
   Status ExecWhere(const WhereClause& clause) {
+    AnchorReachability(*clause.predicate);
     std::vector<Row> next;
     for (const Row& row : rows_) {
       FRAPPE_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*clause.predicate, row));
@@ -1337,14 +1365,15 @@ class Engine {
     FRAPPE_ASSIGN_OR_RETURN(BoundChain bound, BindChain(chain));
     Row scratch = row;
     scratch.resize(width_);
-    // Reachability short-circuit: a predicate of the shape
-    // `bound -[:t*]-> bound` with no relationship variable or property map
-    // asks only "is there a path" — answer it with a visited-set BFS
-    // instead of path enumeration. (Any BFS path is also edge-distinct, so
-    // this is sound under relationship-isomorphism semantics.)
-    if (bound.rels.size() == 1 && bound.rels[0].var_length &&
-        bound.rels[0].slot < 0 && bound.rels[0].props.empty() &&
-        !bound.rels[0].impossible && bound.rels[0].min_length <= 1) {
+    // Reachability: a predicate of the shape `bound -[:t*]-> bound` with no
+    // relationship variable or property map asks only "is there a path".
+    // A shortest path is edge-distinct, so the closure kernel answers it
+    // soundly under relationship-isomorphism semantics — from the query's
+    // memo of closures, one kernel run per distinct anchor endpoint.
+    if (db_.csr != nullptr && bound.rels.size() == 1 &&
+        bound.rels[0].var_length && bound.rels[0].slot < 0 &&
+        bound.rels[0].props.empty() && !bound.rels[0].impossible &&
+        bound.rels[0].min_length <= 1) {
       const BoundNodePattern& a = bound.nodes[0];
       const BoundNodePattern& b = bound.nodes[1];
       auto bound_node = [&](const BoundNodePattern& p) -> NodeId {
@@ -1358,25 +1387,11 @@ class Engine {
       NodeId to = bound_node(b);
       if (from != graph::kInvalidNode && to != graph::kInvalidNode &&
           NodeSatisfies(a, from) && NodeSatisfies(b, to)) {
-        graph::EdgeFilter filter;
-        filter.direction = bound.rels[0].direction;
-        if (!bound.rels[0].any_type) filter.types = bound.rels[0].types;
-        // min_length >= 1: `from == to` requires a cycle, which
-        // TransitiveClosure handles; otherwise plain reachability.
-        bool reachable;
-        if (from == to && bound.rels[0].min_length >= 1) {
-          auto closure = graph::TransitiveClosure(
-              *db_.view, from, filter, bound.rels[0].max_length);
-          reachable = std::binary_search(closure.begin(), closure.end(), to);
-        } else {
-          reachable = graph::IsReachable(*db_.view, from, to, filter,
-                                         bound.rels[0].max_length);
-          if (bound.rels[0].min_length >= 1 && from == to) {
-            reachable = false;  // unreachable fallthrough guard
-          }
-        }
-        steps_ += 1;
-        return reachable;
+        FRAPPE_RETURN_IF_ERROR(Tick());
+        if (from == to && bound.rels[0].min_length == 0) return true;
+        // Otherwise `to` must be reached over >= 1 edge; for `from == to`
+        // that is a cycle, which closure membership already expresses.
+        return MemoizedReachable(chain, bound.rels[0], from, to);
       }
     }
     std::unordered_set<EdgeId> used;
@@ -1391,6 +1406,74 @@ class Engine {
       return status;
     }
     return found;
+  }
+
+  // Whether `to` is reached from `from` over `rel` (>= 1 edge) for the
+  // reachability predicate `pattern`. Answered by membership in a closure
+  // of the pattern's anchor endpoint (see AnchorReachability: the source,
+  // forward, unless the target side is the smaller), which the kernel
+  // computes on the first row that asks and the memo keeps for the rest of
+  // the query: Figure 5 asks up to 18 (call site, writer) rows but has at
+  // most 3 distinct sources. The memo is dropped whole once it would hold
+  // more than kClosureMemoMaxIds members, which bounds its memory when
+  // every row brings a new anchor.
+  Result<bool> MemoizedReachable(const PatternChain& pattern,
+                                 const BoundRelPattern& rel, NodeId from,
+                                 NodeId to) {
+    const bool backward = anchor_on_target_.count(&pattern) > 0;
+    const NodeId anchor = backward ? to : from;
+    const NodeId other = backward ? from : to;
+    auto key = std::make_pair(&pattern, anchor);
+    auto it = closure_memo_.find(key);
+    if (it == closure_memo_.end()) {
+      graph::EdgeFilter filter;
+      filter.direction = backward ? Flip(rel.direction) : rel.direction;
+      if (!rel.any_type) filter.types = rel.types;
+      FRAPPE_ASSIGN_OR_RETURN(
+          std::vector<NodeId> members,
+          RunClosureKernel(anchor, filter, rel.max_length));
+      if (closure_memo_ids_ + members.size() > kClosureMemoMaxIds) {
+        closure_memo_.clear();
+        closure_memo_ids_ = 0;
+      }
+      closure_memo_ids_ += members.size();
+      it = closure_memo_.emplace(key, std::move(members)).first;
+    }
+    return std::binary_search(it->second.begin(), it->second.end(), other);
+  }
+
+  // Picks the anchor endpoint of each reachability predicate in a WHERE
+  // clause: the one bound to fewer distinct nodes across the clause's input
+  // rows, so the memo runs the fewest closures. Figure 5 (<= 3 `direct`
+  // sources, <= 6 writers) anchors on the source; `n -[:calls*]-> t` over
+  // many n runs one backward closure from t. Patterns evaluated outside a
+  // WHERE clause anchor on the source.
+  void AnchorReachability(const Expr& expr) {
+    if (const auto* boolean = std::get_if<BoolExpr>(&expr.node)) {
+      AnchorReachability(*boolean->left);
+      AnchorReachability(*boolean->right);
+      return;
+    }
+    if (const auto* negation = std::get_if<NotExpr>(&expr.node)) {
+      AnchorReachability(*negation->inner);
+      return;
+    }
+    const auto* pattern = std::get_if<PatternExpr>(&expr.node);
+    if (pattern == nullptr || pattern->chain.rels.size() != 1 ||
+        !pattern->chain.rels[0].var_length) {
+      return;
+    }
+    const int from_slot = FindSlot(pattern->chain.nodes[0].var);
+    const int to_slot = FindSlot(pattern->chain.nodes[1].var);
+    if (from_slot < 0 || to_slot < 0) return;
+    std::unordered_set<NodeId> sources, targets;
+    for (const Row& row : rows_) {
+      sources.insert(row[from_slot].node);
+      targets.insert(row[to_slot].node);
+    }
+    if (targets.size() < sources.size()) {
+      anchor_on_target_.insert(&pattern->chain);
+    }
   }
 
   Result<ResultValue> Eval(const Expr& expr, const Row& row) {
@@ -1578,12 +1661,22 @@ class Engine {
   uint64_t csr_edge_hits_ = 0;
   uint64_t csr_scanned_bytes_ = 0;
 
+  // Reachability-predicate closures by (pattern, anchor node), and the
+  // patterns anchored on their target; see MemoizedReachable. 4M ids =
+  // 16 MiB.
+  static constexpr size_t kClosureMemoMaxIds = size_t{1} << 22;
+  std::map<std::pair<const PatternChain*, NodeId>, std::vector<NodeId>>
+      closure_memo_;
+  size_t closure_memo_ids_ = 0;
+  std::unordered_set<const PatternChain*> anchor_on_target_;
+
   // Db-hit accounting. Mutable: NodeSatisfies/EdgeSatisfies/GetPropertyOf
   // are logically const reads whose cost we still want on the books.
   mutable DbHits hits_;
   // Set when any MATCH dispatched to the CSR closure kernel, plus the
-  // per-operator detail the current clause accumulated (reset per clause
-  // by Run when profiling).
+  // per-operator detail the current clause's kernel runs (MATCH fast path
+  // or WHERE predicate) accumulated (reset per clause by Run when
+  // profiling).
   bool fast_path_taken_ = false;
   bool fast_path_op_ = false;
   std::vector<uint64_t> fp_frontier_sizes_;

@@ -23,15 +23,20 @@ namespace frappe::query {
 struct ExecOptions {
   uint64_t max_steps = 0;      // 0 = unlimited; counts expansions/candidates
   int64_t deadline_ms = 0;     // 0 = none; wall-clock budget
-  // Lane count for the parallel analytics kernels the executor may dispatch
-  // to (the CSR closure fast path). 0 resolves FRAPPE_THREADS / hardware
-  // concurrency; 1 forces the sequential inline loop.
-  size_t threads = 0;
+  // Lane count for the analytics kernels the executor dispatches to (the
+  // CSR closure fast path and the WHERE reachability predicate). 1 runs the
+  // sequential inline loop; 0 resolves FRAPPE_THREADS / hardware
+  // concurrency. The default is 1 because one lane measured faster than
+  // more on the 4-core benchmark host: 2, 4 and 8 lanes ran the Table 5
+  // closure at 0.70-0.76x the speed of one.
+  size_t threads = 1;
   // When a variable-length MATCH only feeds multiplicity-insensitive
   // clauses (RETURN DISTINCT, count(DISTINCT ...)), answer it with the
   // parallel CSR transitive-closure kernel instead of enumerating every
   // edge-distinct path — the difference between Figure 6 aborting and
   // finishing. Off = always enumerate (the paper's measured behaviour).
+  // Governs MATCH enumeration only: a WHERE reachability predicate between
+  // two bound nodes (`a -[:calls*]-> b`, Figure 5) always uses the kernel.
   bool use_csr_fast_path = true;
   // Collect per-operator runtime stats (rows, db-hits, steps, wall time)
   // into QueryResult::stats.operators. Set by `PROFILE <query>`; adds two
@@ -72,10 +77,12 @@ struct OperatorStats {
   DbHits db_hits;        // storage accesses attributable to the clause
   uint64_t steps = 0;    // step-budget units the clause consumed
   double time_ms = 0.0;  // wall time inside the clause
-  // CSR fast-path detail (variable-length MATCH answered by the parallel
-  // closure kernel): frontier size per BFS level, the direction-optimizing
-  // kernel's per-level choices (parallel to frontier_sizes: pull vs push,
-  // bitmap vs array frontier), switch count, and lanes used.
+  // CSR kernel detail, set when the clause ran the closure kernel (a
+  // variable-length MATCH on the fast path, or a WHERE reachability
+  // predicate): frontier size per BFS level of its widest run, the
+  // direction-optimizing kernel's per-level choices (parallel to
+  // frontier_sizes: pull vs push, bitmap vs array frontier), switch count,
+  // and lanes used. ExecStats::fast_path_taken stays MATCH-only.
   bool fast_path = false;
   std::vector<uint64_t> frontier_sizes;
   std::vector<uint8_t> level_pull;

@@ -20,6 +20,7 @@
 #include "model/code_graph.h"
 #include "obs/fingerprint.h"
 #include "query/session.h"
+#include "tests/query/fig5_predicate.h"
 #include "tests/query/fixture.h"
 
 namespace frappe::obs {
@@ -263,6 +264,37 @@ TEST(ResourceQueryTest, MemoryBudgetReachesAnalyticsKernels) {
       "START n=node:node_auto_index('short_name: " + seed +
           "') MATCH n -[:calls*]-> m RETURN distinct m");
   ::unsetenv("FRAPPE_QUERY_MEM_BYTES");
+
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("memory"), std::string::npos)
+      << result.status().ToString();
+}
+
+// The Figure 5 reachability predicate keeps one closure per distinct
+// anchor for the query; the memory budget bounds that memo. 30 callees
+// memoize over a MB on a scale-0.05 kernel, while START's rows stay under
+// the budget (and under the executor's check cadence), so the breach can
+// only be noticed inside the WHERE predicate.
+TEST(ResourceQueryTest, MemoryBudgetStopsFig5Predicate) {
+  model::CodeGraph graph;
+  extractor::GraphScale scale;
+  scale.factor = 0.05;
+  extractor::GenerateKernelGraph(scale, &graph);
+  query::Session session(graph);
+  const std::string fig5 = query::testing::Fig5PredicateQuery(graph);
+  auto unbudgeted = session.Run(fig5);  // also builds the CSR
+  ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status().ToString();
+  EXPECT_GT(unbudgeted->stats.peak_bytes, 1u << 20);
+
+  ::setenv("FRAPPE_QUERY_MEM_BYTES", "524288", 1);
+  // The same rows without the predicate fit the budget.
+  auto rows_only = session.Run(fig5.substr(0, fig5.find(" WHERE")) +
+                               " RETURN count(*)");
+  auto result = session.Run(fig5);
+  ::unsetenv("FRAPPE_QUERY_MEM_BYTES");
+  ASSERT_TRUE(rows_only.ok()) << rows_only.status().ToString();
 
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)

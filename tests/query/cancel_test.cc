@@ -2,7 +2,8 @@
 // deadline-exceeded queries must land in the per-fingerprint stats and the
 // structured query log with the right status string, and the active-query
 // registry must be empty afterwards — on every exit path, under
-// concurrency included (run under TSan via the `parallel` label).
+// concurrency included (run under TSan via the `parallel` label). The
+// Figure 5 reachability predicate obeys the same budgets as MATCH.
 
 #include <atomic>
 #include <cstdio>
@@ -18,6 +19,7 @@
 #include "obs/query_log.h"
 #include "obs/query_registry.h"
 #include "query/session.h"
+#include "tests/query/fig5_predicate.h"
 #include "tests/query/fixture.h"
 
 namespace frappe::query {
@@ -52,6 +54,18 @@ std::string ClosureSeedName() {
     if (!name.empty()) return std::string(name);
   }
   return "";
+}
+
+// The scale-0.05 kernel the Figure 5 predicate tests run on.
+model::CodeGraph& Fig5Graph() {
+  static model::CodeGraph* graph = [] {
+    auto* g = new model::CodeGraph();
+    extractor::GraphScale scale;
+    scale.factor = 0.05;
+    extractor::GenerateKernelGraph(scale, g);
+    return g;
+  }();
+  return *graph;
 }
 
 std::string ClosureQuery(const std::string& seed) {
@@ -232,6 +246,62 @@ TEST(CancelTest, ConcurrentRunsLeaveNoRegistryEntriesBehind) {
   for (std::thread& t : threads) t.join();
   observer.join();
   EXPECT_GT(cancelled_runs.load(), 0);
+  EXPECT_EQ(QueryRegistry::Global().size(), 0u);
+}
+
+// The predicate charges the kernel's edge scans as steps, so a step budget
+// stops it part-way through the WHERE clause.
+TEST(CancelTest, Fig5PredicateStopsAtStepBudget) {
+  Session session(Fig5Graph());
+  const std::string query = testing::Fig5PredicateQuery(Fig5Graph());
+  ExecOptions profile;
+  profile.profile = true;
+  auto full = session.Run(query, profile);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_EQ(full->stats.operators.size(), 3u);  // START, WHERE, RETURN
+  const OperatorStats& start = full->stats.operators[0];
+  const OperatorStats& where = full->stats.operators[1];
+  EXPECT_TRUE(where.fast_path) << "WHERE did not run the CSR kernel";
+  EXPECT_FALSE(full->stats.fast_path_taken);  // MATCH-only flag
+  EXPECT_GT(where.steps, 10 * start.rows) << "kernel scans not charged";
+
+  ExecOptions options;
+  options.max_steps = start.steps + where.steps / 2;
+  auto result = session.Run(query, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("step budget"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_EQ(QueryRegistry::Global().size(), 0u);
+}
+
+TEST(CancelTest, Fig5PredicateStopsAtDeadline) {
+  Session session(Fig5Graph());
+  const std::string query = testing::Fig5PredicateQuery(Fig5Graph());
+  ASSERT_TRUE(session.Run(query).ok());  // builds the CSR outside the clock
+  ExecOptions options;
+  options.deadline_ms = 1;
+  auto result = session.Run(query, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+      << result.status().ToString();
+  EXPECT_EQ(QueryRegistry::Global().size(), 0u);
+}
+
+// A token tripped the way /debug/cancel trips it (the registry aliases the
+// caller's token). START stays below the executor's check cadence, so the
+// first kernel dispatch of the predicate is what notices.
+TEST(CancelTest, Fig5PredicateStopsAtCancelToken) {
+  Session session(Fig5Graph());
+  std::atomic<bool> cancel{true};
+  ExecOptions options;
+  options.cancel = &cancel;
+  auto result =
+      session.Run(testing::Fig5PredicateQuery(Fig5Graph()), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+      << result.status().ToString();
   EXPECT_EQ(QueryRegistry::Global().size(), 0u);
 }
 

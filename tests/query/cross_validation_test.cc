@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "graph/traversal.h"
@@ -129,6 +133,85 @@ TEST_P(CrossValidationTest, PatternPredicateMatchesReachability) {
       {rg.graph.type_id(model::EdgeKind::kCalls)}, graph::Direction::kIn);
   auto callers = graph::TransitiveClosure(rg.graph.view(), target, filter);
   EXPECT_EQ(Nodes(*fql), std::set<NodeId>(callers.begin(), callers.end()));
+}
+
+// Generated differential test of the WHERE reachability predicate, which
+// answers from a per-query memo of CSR kernel closures, against the
+// GraphView BFS oracle: every direction and length form on a cyclic graph,
+// a few nodes crossed with every node (so most rows hit the memo and each
+// of the few meets itself) on either side of the pattern, which anchors
+// the memo on the sources or on the targets, on 1, 2 and 4 kernel lanes.
+TEST_P(CrossValidationTest, ReachabilityPredicateMatchesBfsOracle) {
+  RandomGraph rg(GetParam(), 30, 45);
+  Session session(rg.graph);
+  const graph::GraphView& view = rg.graph.view();
+  const graph::TypeId calls = rg.graph.type_id(model::EdgeKind::kCalls);
+  constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();
+
+  std::vector<NodeId> few;
+  for (size_t i = 0; i < 4; ++i) {
+    few.push_back(rg.functions[(GetParam() * 5 + i * 7) % rg.functions.size()]);
+  }
+  auto id_list = [](const std::vector<NodeId>& nodes) {
+    std::string out;
+    for (NodeId id : nodes) {
+      out += (out.empty() ? "" : ",") + std::to_string(id);
+    }
+    return out;
+  };
+  struct Arrow {
+    const char* left;
+    const char* right;
+    graph::Direction direction;
+  };
+  struct Length {
+    const char* text;
+    uint32_t min_length;
+    size_t max_length;
+  };
+  auto check = [&](const std::vector<NodeId>& sources,
+                   const std::vector<NodeId>& targets, const Arrow& arrow,
+                   const Length& length) {
+    const std::string query =
+        "START a=node(" + id_list(sources) + "), b=node(" +
+        id_list(targets) + ") WHERE a " + arrow.left + "[:calls" +
+        length.text + "]" + arrow.right + " b RETURN a, b";
+    graph::EdgeFilter filter = graph::EdgeFilter::Of({calls}, arrow.direction);
+    std::set<std::pair<NodeId, NodeId>> expected;
+    for (NodeId a : sources) {
+      std::vector<NodeId> closure =
+          graph::TransitiveClosure(view, a, filter, length.max_length);
+      for (NodeId b : targets) {
+        bool reachable =
+            a == b ? length.min_length == 0 ||
+                         std::binary_search(closure.begin(), closure.end(), a)
+                   : graph::IsReachable(view, a, b, filter,
+                                        length.max_length);
+        if (reachable) expected.emplace(a, b);
+      }
+    }
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      SCOPED_TRACE(query + " threads=" + std::to_string(threads));
+      ExecOptions options;
+      options.threads = threads;
+      auto fql = session.Run(query, options);
+      ASSERT_TRUE(fql.ok()) << fql.status();
+      std::set<std::pair<NodeId, NodeId>> got;
+      for (const auto& row : fql->rows) got.emplace(row[0].node, row[1].node);
+      EXPECT_EQ(got.size(), fql->rows.size());
+      EXPECT_EQ(got, expected);
+    }
+  };
+  for (const Arrow& arrow : {Arrow{"-", "->", graph::Direction::kOut},
+                             Arrow{"<-", "-", graph::Direction::kIn},
+                             Arrow{"-", "-", graph::Direction::kBoth}}) {
+    for (const Length& length : {Length{"*", 1, kUnbounded},
+                                 Length{"*0..", 0, kUnbounded},
+                                 Length{"*1..3", 1, 3}}) {
+      check(few, rg.functions, arrow, length);  // anchored on the sources
+      check(rg.functions, few, arrow, length);  // anchored on the targets
+    }
+  }
 }
 
 TEST_P(CrossValidationTest, ShortestPathReachabilityConsistent) {

@@ -280,6 +280,35 @@ TEST_F(ProfileTest, Figure6FastPathReportsFrontiersAndLanes) {
   EXPECT_EQ(RowDigest(slow), RowDigest(r));
 }
 
+// Figure 5's `direct -[:calls*]-> writer` predicate runs the CSR kernel,
+// so its WHERE operator carries the same kernel detail as a fast-path
+// MATCH, while fast_path_taken keeps meaning "a MATCH took the fast path".
+TEST_F(ProfileTest, Figure5PredicateReportsKernelDetail) {
+  QueryResult r = Run("PROFILE " + PaperQueries(fixture_)[2]);
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].node, fixture_.sr_do_ioctl);
+  EXPECT_FALSE(r.stats.fast_path_taken);
+  const OperatorStats* where = nullptr;
+  for (const OperatorStats& op : r.stats.operators) {
+    if (op.clause_index == 4) {
+      where = &op;  // START, MATCH, WITH, MATCH, WHERE, RETURN
+    } else {
+      EXPECT_FALSE(op.fast_path) << "clause " << op.clause_index;
+    }
+  }
+  ASSERT_NE(where, nullptr) << r.plan;
+  EXPECT_TRUE(where->fast_path);
+  ASSERT_FALSE(where->frontier_sizes.empty());
+  EXPECT_EQ(where->level_pull.size(), where->frontier_sizes.size());
+  EXPECT_EQ(where->lanes, 1u);  // the executor's default lane count
+  EXPECT_GT(where->steps, 0u);
+  std::string filter_line = r.plan.substr(r.plan.find("Filter"));
+  filter_line.resize(filter_line.find('\n'));
+  EXPECT_NE(filter_line.find("frontier=["), std::string::npos) << r.plan;
+  EXPECT_NE(filter_line.find("direction=["), std::string::npos) << r.plan;
+  EXPECT_NE(filter_line.find("lanes=1"), std::string::npos) << r.plan;
+}
+
 TEST_F(ProfileTest, ExecStatsAlwaysPopulated) {
   QueryResult r = Run("MATCH (n:module) RETURN n");
   EXPECT_GT(r.stats.db_hits.Total(), 0u);
