@@ -191,7 +191,7 @@ std::string ClosureSeed(const graph::GraphView& view,
   return "";
 }
 
-int RunLoadMode(const std::vector<obs::QueryLogRecord>& records,
+int RunLoadMode(const std::vector<obs::QueryRecord>& records,
                 const std::string& target_arg, double generate_factor,
                 const LoadFlags& flags) {
   // Publish the first epoch.
@@ -225,7 +225,7 @@ int RunLoadMode(const std::vector<obs::QueryLogRecord>& records,
 
   // The query mix: successful qlog records, or the built-in mix.
   std::vector<std::string> queries;
-  for (const obs::QueryLogRecord& record : records) {
+  for (const obs::QueryRecord& record : records) {
     if (record.status != "ok") continue;
     const std::string& text =
         record.raw.empty() ? record.query : record.raw;
@@ -410,7 +410,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<obs::QueryLogRecord> records;
+  std::vector<obs::QueryRecord> records;
   if (positional[0] != "--builtin") {
     auto read = obs::ReadQueryLogFile(positional[0]);
     if (!read.ok()) {
@@ -466,7 +466,7 @@ int main(int argc, char** argv) {
   double recorded_total_ms = 0, replayed_total_ms = 0;
   uint64_t replayed_rows = 0;
 
-  for (const obs::QueryLogRecord& record : records) {
+  for (const obs::QueryRecord& record : records) {
     const std::string& text = record.raw.empty() ? record.query : record.raw;
     if (record.status != "ok") {
       ++skipped;  // recorded failures have no row count to check

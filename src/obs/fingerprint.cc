@@ -171,46 +171,34 @@ QueryStats& QueryStats::Global() {
   return *table;
 }
 
-void QueryStats::Entry::Record(bool ok, uint64_t latency, uint64_t row_count,
-                               uint64_t hit_count) {
+namespace {
+
+void StoreMax(std::atomic<uint64_t>& slot, uint64_t value) {
+  uint64_t seen = slot.load(std::memory_order_relaxed);
+  while (value > seen &&
+         !slot.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
+  }
+}
+
+}  // namespace
+
+void QueryStats::Entry::Record(const QueryRecord& record) {
   calls.fetch_add(1, std::memory_order_relaxed);
-  if (!ok) errors.fetch_add(1, std::memory_order_relaxed);
-  total_latency_us.fetch_add(latency, std::memory_order_relaxed);
-  rows.fetch_add(row_count, std::memory_order_relaxed);
-  db_hits.fetch_add(hit_count, std::memory_order_relaxed);
-  latency_us.Record(latency);
-  uint64_t seen = max_latency_us.load(std::memory_order_relaxed);
-  while (latency > seen &&
-         !max_latency_us.compare_exchange_weak(seen, latency,
-                                               std::memory_order_relaxed)) {
-  }
-}
-
-void QueryStats::Entry::RecordTimeline(uint64_t queue_us, uint64_t parse_us,
-                                       uint64_t plan_us, uint64_t exec_us) {
-  queue_us_total.fetch_add(queue_us, std::memory_order_relaxed);
-  parse_us_total.fetch_add(parse_us, std::memory_order_relaxed);
-  plan_us_total.fetch_add(plan_us, std::memory_order_relaxed);
-  exec_us_total.fetch_add(exec_us, std::memory_order_relaxed);
-}
-
-void QueryStats::Entry::RecordQError(uint64_t qerror_x100) {
-  uint64_t seen = worst_qerror_x100.load(std::memory_order_relaxed);
-  while (qerror_x100 > seen &&
-         !worst_qerror_x100.compare_exchange_weak(
-             seen, qerror_x100, std::memory_order_relaxed)) {
-  }
-}
-
-void QueryStats::Entry::RecordResources(uint64_t cpu_us,
-                                        uint64_t alloc_bytes,
-                                        uint64_t peak_bytes) {
-  cpu_us_total.fetch_add(cpu_us, std::memory_order_relaxed);
-  alloc_bytes_total.fetch_add(alloc_bytes, std::memory_order_relaxed);
-  uint64_t seen = peak_bytes_max.load(std::memory_order_relaxed);
-  while (peak_bytes > seen &&
-         !peak_bytes_max.compare_exchange_weak(seen, peak_bytes,
-                                               std::memory_order_relaxed)) {
+  if (!record.ok()) errors.fetch_add(1, std::memory_order_relaxed);
+  total_latency_us.fetch_add(record.latency_us, std::memory_order_relaxed);
+  rows.fetch_add(record.rows, std::memory_order_relaxed);
+  db_hits.fetch_add(record.db_hits, std::memory_order_relaxed);
+  latency_us.Record(record.latency_us);
+  StoreMax(max_latency_us, record.latency_us);
+  queue_us_total.fetch_add(record.queue_us, std::memory_order_relaxed);
+  parse_us_total.fetch_add(record.parse_us, std::memory_order_relaxed);
+  plan_us_total.fetch_add(record.plan_us, std::memory_order_relaxed);
+  exec_us_total.fetch_add(record.exec_us, std::memory_order_relaxed);
+  cpu_us_total.fetch_add(record.cpu_us, std::memory_order_relaxed);
+  alloc_bytes_total.fetch_add(record.alloc_bytes, std::memory_order_relaxed);
+  StoreMax(peak_bytes_max, record.peak_bytes);
+  if (record.estimated) {
+    StoreMax(worst_qerror_x100, static_cast<uint64_t>(record.qerror * 100.0));
   }
 }
 
@@ -351,122 +339,6 @@ void QueryStats::ResetForTesting() {
     }
     shard.entries.clear();
   }
-}
-
-// ---------------------------------------------------------------------------
-// SlowQueryRing
-
-SlowQueryRing& SlowQueryRing::Global() {
-  static SlowQueryRing* ring = new SlowQueryRing();  // never destroyed
-  return *ring;
-}
-
-void SlowQueryRing::Push(Record record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() < kCapacity) {
-    ring_.push_back(std::move(record));
-  } else {
-    ring_[next_] = std::move(record);
-  }
-  next_ = (next_ + 1) % kCapacity;
-}
-
-std::vector<SlowQueryRing::Record> SlowQueryRing::SnapshotAll() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Record> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < kCapacity) {
-    out = ring_;
-  } else {
-    for (size_t i = 0; i < kCapacity; ++i) {
-      out.push_back(ring_[(next_ + i) % kCapacity]);
-    }
-  }
-  return out;
-}
-
-std::string SlowQueryRing::DumpJson() const {
-  std::vector<Record> records = SnapshotAll();
-  std::string out = "[";
-  char num[32];
-  for (size_t i = 0; i < records.size(); ++i) {
-    const Record& r = records[i];
-    std::snprintf(num, sizeof(num), "%.3f", r.latency_ms);
-    out += std::string(i == 0 ? "" : ",") + "\n    {\"ts_us\": " +
-           std::to_string(r.ts_us) +
-           ", \"fp\": " + JsonQuote(FingerprintHex(r.fingerprint)) +
-           ", \"trace_id\": " + JsonQuote(r.trace_id) +
-           ", \"query\": " + JsonQuote(r.normalized) +
-           ", \"latency_ms\": " + num +
-           ", \"threshold_ms\": " + std::to_string(r.threshold_ms) +
-           ", \"status\": " + JsonQuote(r.status) + "}";
-  }
-  out += records.empty() ? "]" : "\n  ]";
-  return out;
-}
-
-void SlowQueryRing::ResetForTesting() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  next_ = 0;
-}
-
-// ---------------------------------------------------------------------------
-// MisestimateRing
-
-MisestimateRing& MisestimateRing::Global() {
-  static MisestimateRing* ring = new MisestimateRing();  // never destroyed
-  return *ring;
-}
-
-void MisestimateRing::Push(Record record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() < kCapacity) {
-    ring_.push_back(std::move(record));
-  } else {
-    ring_[next_] = std::move(record);
-  }
-  next_ = (next_ + 1) % kCapacity;
-}
-
-std::vector<MisestimateRing::Record> MisestimateRing::SnapshotAll() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Record> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < kCapacity) {
-    out = ring_;
-  } else {
-    for (size_t i = 0; i < kCapacity; ++i) {
-      out.push_back(ring_[(next_ + i) % kCapacity]);
-    }
-  }
-  return out;
-}
-
-std::string MisestimateRing::DumpJson() const {
-  std::vector<Record> records = SnapshotAll();
-  std::string out = "[";
-  char est[32], q[32];
-  for (size_t i = 0; i < records.size(); ++i) {
-    const Record& r = records[i];
-    std::snprintf(est, sizeof(est), "%.1f", r.est_rows);
-    std::snprintf(q, sizeof(q), "%.2f", r.qerror);
-    out += std::string(i == 0 ? "" : ",") + "\n    {\"ts_us\": " +
-           std::to_string(r.ts_us) +
-           ", \"fp\": " + JsonQuote(FingerprintHex(r.fingerprint)) +
-           ", \"query\": " + JsonQuote(r.normalized) +
-           ", \"est_rows\": " + est +
-           ", \"actual_rows\": " + std::to_string(r.actual_rows) +
-           ", \"qerror\": " + q + "}";
-  }
-  out += records.empty() ? "]" : "\n  ]";
-  return out;
-}
-
-void MisestimateRing::ResetForTesting() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  next_ = 0;
 }
 
 }  // namespace frappe::obs

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/query_record.h"
 
 namespace frappe::obs {
 
@@ -53,8 +54,8 @@ uint64_t Fingerprint64(std::string_view text);
 // the query log and /stats.
 std::string FingerprintHex(uint64_t fingerprint);
 
-// Per-fingerprint statistics, updated on every Session::Run from the
-// always-on ExecStats. Lock-cheap: the fingerprint interns an Entry once
+// Per-fingerprint statistics, updated on every RunQuery from its
+// QueryRecord. Lock-cheap: the fingerprint interns an Entry once
 // (short sharded-mutex lookup), after which all updates are relaxed
 // atomics; entries live for the process lifetime so references never
 // dangle. Readers may race with writers and see monotone approximations —
@@ -89,16 +90,10 @@ class QueryStats {
     std::atomic<uint64_t> peak_bytes_max{0};
     Histogram latency_us;  // pow2-bucket latency distribution
 
-    void Record(bool ok, uint64_t latency, uint64_t row_count,
-                uint64_t hit_count);
-    // Accumulates one query's timeline breakdown.
-    void RecordTimeline(uint64_t queue_us, uint64_t parse_us,
-                        uint64_t plan_us, uint64_t exec_us);
-    // CAS-max update from the per-query estimate-vs-actual comparison.
-    void RecordQError(uint64_t qerror_x100);
-    // Accumulates one query's resource totals (CAS-max for peak bytes).
-    void RecordResources(uint64_t cpu_us, uint64_t alloc_bytes,
-                         uint64_t peak_bytes);
+    // Folds one finished query in: counts, latency, timeline and
+    // resource totals, plus CAS-max updates for the latency, peak bytes
+    // and (when estimated) q-error high-water marks.
+    void Record(const QueryRecord& record);
   };
 
   // Interns (on first use) and returns the process-lifetime entry for
@@ -163,77 +158,6 @@ class QueryStats {
     std::unordered_map<uint64_t, std::unique_ptr<Entry>> entries;
   };
   Shard shards_[kTableShards];
-};
-
-// Fixed-capacity ring of the most recent slow queries (the
-// FRAPPE_SLOW_QUERY_MS hits), served by /stats so an operator sees the
-// offenders without grepping stderr. Mutex-guarded: slow queries are rare
-// by definition.
-class SlowQueryRing {
- public:
-  static constexpr size_t kCapacity = 64;
-
-  struct Record {
-    int64_t ts_us = 0;  // unix epoch microseconds
-    uint64_t fingerprint = 0;
-    std::string trace_id;  // 32-hex trace id, links to /debug/tracez
-    std::string normalized;
-    double latency_ms = 0.0;
-    int64_t threshold_ms = 0;
-    std::string status;  // "ok" or the Status code name
-  };
-
-  static SlowQueryRing& Global();
-
-  void Push(Record record);
-  // Oldest-first copy of the buffered records.
-  std::vector<Record> SnapshotAll() const;
-  // JSON array, oldest first.
-  std::string DumpJson() const;
-
-  void ResetForTesting();
-
- private:
-  SlowQueryRing() = default;
-
-  mutable std::mutex mu_;
-  std::vector<Record> ring_;  // ring_[next_] is the oldest once wrapped
-  size_t next_ = 0;
-};
-
-// Fixed-capacity ring of the worst recent plan misestimates (queries whose
-// q-error crossed FRAPPE_MISESTIMATE_QERROR), served by /debug/statz.
-// Structured like SlowQueryRing: misestimates worth recording are rare, a
-// mutex is fine.
-class MisestimateRing {
- public:
-  static constexpr size_t kCapacity = 64;
-
-  struct Record {
-    int64_t ts_us = 0;  // unix epoch microseconds
-    uint64_t fingerprint = 0;
-    std::string normalized;
-    double est_rows = 0.0;
-    uint64_t actual_rows = 0;
-    double qerror = 0.0;
-  };
-
-  static MisestimateRing& Global();
-
-  void Push(Record record);
-  // Oldest-first copy of the buffered records.
-  std::vector<Record> SnapshotAll() const;
-  // JSON array, oldest first.
-  std::string DumpJson() const;
-
-  void ResetForTesting();
-
- private:
-  MisestimateRing() = default;
-
-  mutable std::mutex mu_;
-  std::vector<Record> ring_;
-  size_t next_ = 0;
 };
 
 }  // namespace frappe::obs

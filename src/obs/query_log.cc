@@ -10,17 +10,19 @@
 #include "common/string_util.h"
 #include "obs/fingerprint.h"
 #include "obs/log.h"
+#include "obs/trace.h"
 
 namespace frappe::obs {
 
 // ---------------------------------------------------------------------------
 // JSONL (de)serialization
 
-std::string ToJsonLine(const QueryLogRecord& record) {
+std::string ToJsonLine(const QueryRecord& record) {
   std::string out = "{\"ts_us\":" + std::to_string(record.ts_us) +
                     ",\"fp\":\"" + FingerprintHex(record.fingerprint) +
-                    "\",\"trace_id\":" + JsonQuote(record.trace_id) +
-                    ",\"query\":" + JsonQuote(record.query) +
+                    "\",\"trace_id\":\"" +
+                    TraceIdHex(record.trace_hi, record.trace_lo) +
+                    "\",\"query\":" + JsonQuote(record.query) +
                     ",\"raw\":" + JsonQuote(record.raw) +
                     ",\"status\":" + JsonQuote(record.status) +
                     ",\"latency_us\":" + std::to_string(record.latency_us) +
@@ -142,10 +144,10 @@ struct LineParser {
 
 }  // namespace
 
-Result<QueryLogRecord> ParseJsonLine(std::string_view line) {
+Result<QueryRecord> ParseJsonLine(std::string_view line) {
   LineParser p{line};
   FRAPPE_RETURN_IF_ERROR(p.Expect('{'));
-  QueryLogRecord record;
+  QueryRecord record;
   bool saw_fp = false, saw_query = false;
   if (!p.Peek('}')) {
     while (true) {
@@ -160,7 +162,11 @@ Result<QueryLogRecord> ParseJsonLine(std::string_view line) {
         }
         saw_fp = true;
       } else if (key == "trace_id") {
-        FRAPPE_ASSIGN_OR_RETURN(record.trace_id, p.ParseString());
+        // Lines with a malformed id still load, with the id unknown (0).
+        FRAPPE_ASSIGN_OR_RETURN(std::string hex, p.ParseString());
+        if (!ParseTraceIdHex(hex, &record.trace_hi, &record.trace_lo)) {
+          record.trace_hi = record.trace_lo = 0;
+        }
       } else if (key == "query") {
         FRAPPE_ASSIGN_OR_RETURN(record.query, p.ParseString());
         saw_query = true;
@@ -235,15 +241,15 @@ Result<QueryLogRecord> ParseJsonLine(std::string_view line) {
   return record;
 }
 
-Result<std::vector<QueryLogRecord>> ReadQueryLogFile(const std::string& path) {
+Result<std::vector<QueryRecord>> ReadQueryLogFile(const std::string& path) {
   std::string content;
   FRAPPE_RETURN_IF_ERROR(common::ReadFile(path, &content, "qlog"));
-  std::vector<QueryLogRecord> out;
+  std::vector<QueryRecord> out;
   size_t line_no = 0;
   for (std::string_view line : Split(content, '\n')) {
     ++line_no;
     if (StripWhitespace(line).empty()) continue;
-    Result<QueryLogRecord> record = ParseJsonLine(line);
+    Result<QueryRecord> record = ParseJsonLine(line);
     if (!record.ok()) {
       return Status::Corruption(path + ":" + std::to_string(line_no) + ": " +
                                 record.status().message());
@@ -331,14 +337,14 @@ void QueryLog::Disable() {
   }
 }
 
-void QueryLog::Record(QueryLogRecord record) {
+void QueryLog::Record(QueryRecord record) {
   if (!enabled()) return;
   if (!TryPush(std::move(record))) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-bool QueryLog::TryPush(QueryLogRecord&& record) {
+bool QueryLog::TryPush(QueryRecord&& record) {
   size_t pos = head_.load(std::memory_order_relaxed);
   for (;;) {
     Slot& slot = *slots_[pos & ring_mask_];
@@ -359,7 +365,7 @@ bool QueryLog::TryPush(QueryLogRecord&& record) {
   }
 }
 
-bool QueryLog::TryPop(QueryLogRecord* out) {
+bool QueryLog::TryPop(QueryRecord* out) {
   // Single consumer (the writer thread; Disable joins it before anyone
   // else touches the ring), so a plain tail store suffices.
   size_t pos = tail_.load(std::memory_order_relaxed);
@@ -369,7 +375,7 @@ bool QueryLog::TryPop(QueryLogRecord* out) {
       static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos + 1);
   if (dif != 0) return false;  // empty (or producer mid-publish)
   *out = std::move(slot.record);
-  slot.record = QueryLogRecord();  // release the strings
+  slot.record = QueryRecord();  // release the strings
   slot.seq.store(pos + ring_mask_ + 1, std::memory_order_release);
   tail_.store(pos + 1, std::memory_order_relaxed);
   return true;
@@ -381,7 +387,7 @@ bool QueryLog::RingEmpty() const {
 }
 
 void QueryLog::WriterLoop() {
-  QueryLogRecord record;
+  QueryRecord record;
   for (;;) {
     if (paused_.load(std::memory_order_relaxed) &&
         !stop_.load(std::memory_order_relaxed)) {
@@ -405,7 +411,7 @@ void QueryLog::WriterLoop() {
   std::fflush(file_);
 }
 
-void QueryLog::WriteRecord(const QueryLogRecord& record) {
+void QueryLog::WriteRecord(const QueryRecord& record) {
   std::string line = ToJsonLine(record);
   // Rotate *before* the write that would breach the cap, so the live file
   // never exceeds max_bytes and no record is split across files.

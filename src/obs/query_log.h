@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/query_record.h"
 
 namespace frappe::obs {
 
@@ -31,45 +32,19 @@ namespace frappe::obs {
 // starts, so records are never torn mid-line and readers always see a
 // complete old or new file.
 
-// One query execution, as logged. Field names match the JSONL keys.
-struct QueryLogRecord {
-  int64_t ts_us = 0;        // unix epoch microseconds at completion
-  uint64_t fingerprint = 0; // obs::Fingerprint64 of `query`
-  std::string trace_id;     // 32-hex 128-bit trace id (always present)
-  std::string query;        // normalized text (literals stripped)
-  std::string raw;          // the executed text verbatim — what replay runs
-  std::string status = "ok";  // "ok" or a StatusCode name
-  uint64_t latency_us = 0;
-  uint64_t rows = 0;
-  uint64_t db_hits = 0;
-  bool fast_path = false;
-  // Latency attribution (the per-query Timeline): where latency_us went.
-  // queue_us is 0 for queries that never crossed the server's admission
-  // queue (shell, replay, tests).
-  uint64_t queue_us = 0;
-  uint64_t parse_us = 0;
-  uint64_t plan_us = 0;
-  uint64_t exec_us = 0;
-  // Resource attribution (obs/resource.h): thread-CPU across all threads
-  // the query touched, bytes allocated, and the live-heap high-water mark.
-  uint64_t cpu_us = 0;
-  uint64_t alloc_bytes = 0;
-  uint64_t peak_bytes = 0;
-};
-
 // `{"ts_us":...,"fp":"0011aabb...","trace_id":"<32 hex>","query":"...",
 //   "raw":"...","status":"ok","latency_us":...,"rows":...,"db_hits":...,
 //   "fast_path":false,"queue_us":...,"parse_us":...,"plan_us":...,
 //   "exec_us":...,"cpu_us":...,"alloc_bytes":...,"peak_bytes":...}\n`
-std::string ToJsonLine(const QueryLogRecord& record);
+std::string ToJsonLine(const QueryRecord& record);
 
 // Parses one line written by ToJsonLine (tolerates unknown keys, enforces
 // required ones). Used by the replay tool and tests.
-Result<QueryLogRecord> ParseJsonLine(std::string_view line);
+Result<QueryRecord> ParseJsonLine(std::string_view line);
 
 // Reads a whole JSONL file; fails on the first malformed line with its
 // line number. Blank lines are skipped.
-Result<std::vector<QueryLogRecord>> ReadQueryLogFile(const std::string& path);
+Result<std::vector<QueryRecord>> ReadQueryLogFile(const std::string& path);
 
 class QueryLog {
  public:
@@ -97,7 +72,7 @@ class QueryLog {
 
   // Lock-free; drops (and counts) when the ring is full or the log is
   // disabled mid-flight.
-  void Record(QueryLogRecord record);
+  void Record(QueryRecord record);
 
   // Blocks until every record pushed before the call is on disk (fflush
   // included). Only meaningful once producers quiesce.
@@ -126,15 +101,15 @@ class QueryLog {
   // producers/consumer use to claim it without locks.
   struct Slot {
     std::atomic<size_t> seq{0};
-    QueryLogRecord record;
+    QueryRecord record;
   };
 
-  bool TryPush(QueryLogRecord&& record);
-  bool TryPop(QueryLogRecord* out);
+  bool TryPush(QueryRecord&& record);
+  bool TryPop(QueryRecord* out);
   bool RingEmpty() const;
 
   void WriterLoop();
-  void WriteRecord(const QueryLogRecord& record);
+  void WriteRecord(const QueryRecord& record);
   void Rotate();
 
   std::atomic<bool> enabled_{false};

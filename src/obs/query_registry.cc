@@ -9,17 +9,11 @@
 #include "obs/fingerprint.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/query_record.h"
 #include "obs/trace.h"
 
 namespace frappe::obs {
 namespace {
-
-uint64_t NowUnixMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
 
 Gauge& ActiveGauge() {
   static Gauge& g = Registry::Global().GetGauge("query.active");
@@ -62,7 +56,7 @@ QueryRegistry::Handle QueryRegistry::Register(
   entry->fingerprint = fingerprint;
   entry->normalized = std::move(normalized);
   entry->raw = std::move(raw);
-  entry->start_unix_us = NowUnixMicros();
+  entry->start_unix_us = static_cast<uint64_t>(NowUnixMicros());
   entry->start_steady = std::chrono::steady_clock::now();
   entry->trace_hi = trace_hi;
   entry->trace_lo = trace_lo;

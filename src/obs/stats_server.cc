@@ -14,10 +14,10 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/query_log.h"
+#include "obs/query_record.h"
 #include "obs/query_registry.h"
 #include "obs/readiness.h"
 #include "obs/trace.h"
-#include "obs/trace_store.h"
 
 namespace frappe::obs {
 
@@ -67,16 +67,12 @@ std::string QueryCatalogJson() {
   return fn ? fn() : std::string();
 }
 
-// FRAPPE_MISESTIMATE_QERROR rendered as a JSON value ("null" when unset
-// or unparsable). Read per call, like the slow-query threshold.
+// FRAPPE_MISESTIMATE_QERROR rendered as a JSON value ("null" when unset).
 std::string MisestimateThresholdJson() {
-  const char* env = std::getenv("FRAPPE_MISESTIMATE_QERROR");
-  if (env == nullptr || *env == '\0') return "null";
-  char* end = nullptr;
-  double v = std::strtod(env, &end);
-  if (end == env || v <= 0.0) return "null";
+  double threshold = MisestimateQErrorThreshold();
+  if (threshold <= 0.0) return "null";
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  std::snprintf(buf, sizeof(buf), "%.6g", threshold);
   return buf;
 }
 
@@ -167,17 +163,6 @@ uint64_t PeakRssBytes() {
   struct rusage usage {};
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
   return static_cast<uint64_t>(usage.ru_maxrss) * 1024;
-}
-
-// The per-query memory budget in force (FRAPPE_QUERY_MEM_BYTES, read per
-// call like every other env knob; 0 = unlimited). The query layer reads
-// the same variable when installing a query's ResourceTracker.
-uint64_t QueryMemBudgetBytes() {
-  const char* env = std::getenv("FRAPPE_QUERY_MEM_BYTES");
-  if (env == nullptr || *env == '\0') return 0;
-  int64_t v = 0;
-  if (!ParseInt64(env, &v) || v < 0) return 0;
-  return static_cast<uint64_t>(v);
 }
 
 }  // namespace
@@ -313,7 +298,7 @@ std::string StatsServer::MemzJson() {
       emit(section, bytes);
     }
   }
-  emit("trace_store", TraceStore::Global().ApproxBytes());
+  emit("trace_store", RetentionStore::Global().ApproxBytes());
   emit("query_log_ring", QueryLog::Global().ApproxRingBytes());
   emit("query_stats", QueryStats::Global().ApproxBytes());
   out += first ? "},\n" : "\n  },\n";
@@ -340,8 +325,8 @@ std::string StatsServer::StatzJson() {
          ",\n  \"worst_fingerprints\": " +
          QueryStats::Global().DumpJson(/*top_n=*/20,
                                        QueryStats::Order::kWorstQError) +
-         ",\n  \"misestimates\": " + MisestimateRing::Global().DumpJson() +
-         "\n}\n";
+         ",\n  \"misestimates\": " +
+         RetentionStore::Global().MisestimatesJson() + "\n}\n";
   return out;
 }
 
@@ -353,9 +338,9 @@ std::string StatsServer::StatsJson(std::string_view build_sha,
                     ",\n  \"fingerprints\": " +
                     QueryStats::Global().DumpJson(/*top_n=*/50) +
                     ",\n  \"slow_queries\": " +
-                    SlowQueryRing::Global().DumpJson() +
+                    RetentionStore::Global().SlowQueriesJson() +
                     ",\n  \"misestimates\": " +
-                    MisestimateRing::Global().DumpJson() +
+                    RetentionStore::Global().MisestimatesJson() +
                     ",\n  \"query_log\": {\"written\": " +
                     std::to_string(qlog.written()) +
                     ", \"dropped\": " + std::to_string(qlog.dropped()) +
@@ -486,14 +471,15 @@ HttpResponse StatsServer::BuildResponse(const HttpRequest& request) const {
         return HttpError(400, "Bad Request",
                          "bad trace_id (want 32 hex chars)");
       }
-      StoredTrace trace;
-      if (!TraceStore::Global().Lookup(hi, lo, &trace)) {
+      RetainedQuery trace;
+      if (!RetentionStore::Global().Lookup(hi, lo, &trace) ||
+          trace.spans.empty()) {
         return HttpError(404, "Not Found",
                          "no retained trace with that id (retention "
                          "covers slow, errored, cancelled, shed and "
                          "explicitly-traced requests)");
       }
-      return Ok("application/json", TraceStore::TraceJson(trace));
+      return Ok("application/json", RetentionStore::TraceJson(trace));
     }
     std::string_view raw = HttpQueryParam(params, "ms");
     if (!raw.empty()) {
@@ -507,7 +493,7 @@ HttpResponse StatsServer::BuildResponse(const HttpRequest& request) const {
       return Ok("application/json", Trace::ExportJson());
     }
     // No parameters: the retained-trace index.
-    return Ok("application/json", TraceStore::Global().IndexJson());
+    return Ok("application/json", RetentionStore::Global().TracezIndexJson());
   }
   if (target == "/debug/storagez") {
     std::string body = StorageJson();

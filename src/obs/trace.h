@@ -26,7 +26,8 @@ namespace frappe::obs {
 //     (128-bit trace id) and a SpanCollector sink on the current thread;
 //     every span completed under it is also appended to the sink with its
 //     span id and parent id, building the per-request span tree that the
-//     tail-sampling TraceStore retains for slow/errored/shed queries.
+//     tail-sampling RetentionStore (obs/query_record.h) keeps for
+//     slow/errored/shed queries.
 //
 // The fast path is the *disabled* path: a Span constructor is one relaxed
 // atomic load, one thread-local load and a branch — no clock read, no

@@ -1,6 +1,5 @@
 #include "query/session.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
@@ -10,6 +9,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
+#include "obs/query_record.h"
 #include "obs/query_registry.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
@@ -25,17 +25,6 @@ std::function<void(const std::string&)>& SlowQuerySink() {
   static std::function<void(const std::string&)>* sink =
       new std::function<void(const std::string&)>();  // never destroyed
   return *sink;
-}
-
-// Threshold in ms, or -1 when unset/invalid. Read per call so tests (and
-// operators) can flip it at runtime via setenv.
-int64_t SlowQueryThresholdMs() {
-  const char* env = std::getenv("FRAPPE_SLOW_QUERY_MS");
-  if (env == nullptr || *env == '\0') return -1;
-  char* end = nullptr;
-  long long value = std::strtoll(env, &end, 10);
-  if (end == env || value < 0) return -1;
-  return static_cast<int64_t>(value);
 }
 
 void EmitSlowQueryLog(const std::string& message) {
@@ -54,96 +43,52 @@ bool EstimatorDisabled() {
   return env != nullptr && std::string_view(env) == "off";
 }
 
-// Misestimate q-error threshold, or -1 when unset/invalid. A query whose
-// q-error meets it is pushed onto the MisestimateRing and warn-logged.
-double MisestimateQErrorThreshold() {
-  const char* env = std::getenv("FRAPPE_MISESTIMATE_QERROR");
-  if (env == nullptr || *env == '\0') return -1.0;
-  char* end = nullptr;
-  double value = std::strtod(env, &end);
-  if (end == env || value <= 0.0) return -1.0;
-  return value;
-}
-
-// Per-query memory budget in bytes, or 0 (unlimited) when unset/invalid.
-// Read per call so operators and tests can flip it at runtime via setenv.
-uint64_t QueryMemBudgetBytes() {
-  const char* env = std::getenv("FRAPPE_QUERY_MEM_BYTES");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  long long value = std::strtoll(env, &end, 10);
-  if (end == env || value <= 0) return 0;
-  return static_cast<uint64_t>(value);
-}
-
-int64_t NowUnixMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
-// Workload telemetry for one finished (or parse-failed) execution: the
-// per-fingerprint stats table always, the structured query log when
-// enabled. Both are fire-and-forget — neither blocks the query path. The
-// trace id ties all three views (stats, qlog, retained traces) together;
-// the timeline says where the latency went.
-void RecordWorkloadTelemetry(const obs::NormalizedQuery& normalized,
-                             std::string_view raw_text, bool ok,
-                             std::string_view status_name, double elapsed_ms,
-                             uint64_t rows, uint64_t db_hits, bool fast_path,
-                             const obs::TraceContext& trace,
-                             const Timeline& timeline,
-                             const obs::ResourceTracker& resources) {
-  uint64_t latency_us =
-      elapsed_ms > 0 ? static_cast<uint64_t>(elapsed_ms * 1000.0) : 0;
-  obs::QueryStats::Entry& entry = obs::QueryStats::Global().GetOrCreate(
-      normalized.fingerprint, normalized.text);
-  entry.Record(ok, latency_us, rows, db_hits);
-  entry.RecordTimeline(timeline.queue_us, timeline.parse_us,
-                       timeline.plan_us, timeline.exec_us);
-  entry.RecordResources(resources.cpu_us(), resources.alloc_bytes(),
-                        resources.peak_bytes());
-  // Process-wide latency histogram with the trace id pinned per bucket, so
-  // a /metrics p99 spike links straight to a retained trace.
-  static obs::Histogram& latency_hist =
-      obs::Registry::Global().GetHistogram("query.latency_us");
-  latency_hist.RecordWithExemplar(latency_us, trace.trace_hi, trace.trace_lo);
-  // Resource attribution histograms, exemplar-linked the same way: a CPU or
-  // allocation outlier on /metrics names the trace that caused it.
-  static obs::Histogram& cpu_hist =
-      obs::Registry::Global().GetHistogram("query.cpu_us");
-  static obs::Histogram& alloc_hist =
-      obs::Registry::Global().GetHistogram("query.alloc_bytes");
-  static obs::Histogram& peak_hist =
-      obs::Registry::Global().GetHistogram("query.peak_bytes");
-  cpu_hist.RecordWithExemplar(resources.cpu_us(), trace.trace_hi,
-                              trace.trace_lo);
-  alloc_hist.RecordWithExemplar(resources.alloc_bytes(), trace.trace_hi,
-                                trace.trace_lo);
-  peak_hist.RecordWithExemplar(resources.peak_bytes(), trace.trace_hi,
-                               trace.trace_lo);
-  obs::QueryLog& qlog = obs::QueryLog::Global();
-  if (qlog.enabled()) {
-    obs::QueryLogRecord record;
-    record.ts_us = NowUnixMicros();
-    record.fingerprint = normalized.fingerprint;
-    record.trace_id = obs::TraceIdHex(trace);
-    record.query = normalized.text;
-    record.raw = std::string(raw_text);
-    record.status = std::string(status_name);
-    record.latency_us = latency_us;
-    record.rows = rows;
-    record.db_hits = db_hits;
-    record.fast_path = fast_path;
-    record.queue_us = timeline.queue_us;
-    record.parse_us = timeline.parse_us;
-    record.plan_us = timeline.plan_us;
-    record.exec_us = timeline.exec_us;
-    record.cpu_us = resources.cpu_us();
-    record.alloc_bytes = resources.alloc_bytes();
-    record.peak_bytes = resources.peak_bytes();
-    qlog.Record(std::move(record));
+// ANALYZE: rebuilds the cardinality stats catalog from the live graph and
+// swaps it into the shared cache, so every reader of this database (and
+// the next \save) gets fresh estimates. `exec_us` receives the build time.
+Result<QueryResult> RunAnalyze(const Database& db, uint64_t* exec_us) {
+  FRAPPE_TRACE_SPAN("session.analyze");
+  static obs::Counter& builds =
+      obs::Registry::Global().GetCounter("catalog.builds");
+  static obs::Histogram& build_us =
+      obs::Registry::Global().GetHistogram("catalog.build_us");
+  if (db.view == nullptr || db.stats == nullptr) {
+    return Status::FailedPrecondition(
+        "ANALYZE needs a graph-backed database with a stats cache");
   }
+  const uint64_t build_start = obs::Trace::NowMicros();
+  graph::StatsCatalog catalog =
+      graph::BuildStatsCatalog(*db.view, db.name_index);
+  *exec_us = obs::Trace::NowMicros() - build_start;
+  builds.Add();
+  build_us.Record(*exec_us);
+  obs::Registry::Global().GetGauge("catalog.nodes").Set(
+      static_cast<int64_t>(catalog.node_count));
+  obs::Registry::Global().GetGauge("catalog.edges").Set(
+      static_cast<int64_t>(catalog.edge_count));
+  obs::Registry::Global().GetGauge("catalog.bytes").Set(
+      static_cast<int64_t>(catalog.ByteSize()));
+
+  QueryResult result;
+  result.columns = {"nodes",      "edges", "node_types", "edge_types",
+                    "hub_count",  "index_fields", "catalog_bytes"};
+  result.rows.push_back(
+      {ResultValue::Scalar(graph::Value::Int(
+           static_cast<int64_t>(catalog.node_count))),
+       ResultValue::Scalar(graph::Value::Int(
+           static_cast<int64_t>(catalog.edge_count))),
+       ResultValue::Scalar(graph::Value::Int(
+           static_cast<int64_t>(catalog.node_types.size()))),
+       ResultValue::Scalar(graph::Value::Int(
+           static_cast<int64_t>(catalog.edge_types.size()))),
+       ResultValue::Scalar(
+           graph::Value::Int(static_cast<int64_t>(catalog.hubs.size()))),
+       ResultValue::Scalar(graph::Value::Int(
+           static_cast<int64_t>(catalog.index_fields.size()))),
+       ResultValue::Scalar(graph::Value::Int(
+           static_cast<int64_t>(catalog.ByteSize())))});
+  db.stats->Set(std::move(catalog));
+  return result;
 }
 
 }  // namespace
@@ -245,12 +190,15 @@ Result<QueryResult> Session::Run(std::string_view query_text,
 }
 
 Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
-                             const ExecOptions& options) {
+                             const ExecOptions& options,
+                             obs::QueryRecord* record_out) {
   FRAPPE_TRACE_SPAN("session.run");
   static obs::Counter& queries =
       obs::Registry::Global().GetCounter("session.queries");
   static obs::Counter& slow_queries =
       obs::Registry::Global().GetCounter("session.slow_queries");
+  static obs::Counter& misestimates =
+      obs::Registry::Global().GetCounter("plan.misestimates");
   queries.Add();
 
   // Resource attribution for the whole call: the scope publishes the
@@ -258,16 +206,16 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
   // poll, and the analytics lanes all charge this query. The budget itself
   // comes from FRAPPE_QUERY_MEM_BYTES (0 = unlimited).
   obs::ResourceTracker resources;
-  resources.set_budget_bytes(QueryMemBudgetBytes());
+  resources.set_budget_bytes(obs::QueryMemBudgetBytes());
   obs::ResourceScope resource_scope(&resources);
 
   // The workload identity of this query: literals stripped, case folded,
   // hashed. Computed up front so parse failures aggregate by shape too.
-  const obs::NormalizedQuery normalized = obs::NormalizeQuery(query_text);
+  obs::NormalizedQuery normalized = obs::NormalizeQuery(query_text);
 
   // Trace identity: adopt the request context the query server installed
   // via TraceScope, or mint a fresh id for direct callers (shell, replay,
-  // tests) so the query log, /stats and the slow-query ring still carry a
+  // tests) so the query log, /stats and the retention store still carry a
   // joinable trace id. Minting does NOT activate span collection — the
   // disabled-span fast path stays one atomic + one TLS load.
   obs::TraceContext trace = obs::Trace::CurrentContext();
@@ -282,182 +230,110 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
       normalized.fingerprint, normalized.text, std::string(query_text),
       options.cancel, trace.trace_hi, trace.trace_lo, timeline.queue_us);
 
+  // Every exit of the query proper returns from this lambda, so exactly
+  // one QueryRecord is built below whatever happened.
   Query query;
-  {
-    FRAPPE_TRACE_SPAN("session.parse");
-    const uint64_t parse_start = obs::Trace::NowMicros();
-    Result<Query> parsed = Parse(query_text);
-    timeline.parse_us = obs::Trace::NowMicros() - parse_start;
-    if (!parsed.ok()) {
-      resource_scope.SyncCpu();
-      RecordWorkloadTelemetry(normalized, query_text, /*ok=*/false,
-                              StatusCodeName(parsed.status().code()),
-                              /*elapsed_ms=*/0.0, /*rows=*/0, /*db_hits=*/0,
-                              /*fast_path=*/false, trace, timeline,
-                              resources);
-      return parsed.status();
+  bool executed = false;  // reached Execute (a plain query or PROFILE)
+  Result<QueryResult> result = [&]() -> Result<QueryResult> {
+    {
+      FRAPPE_TRACE_SPAN("session.parse");
+      const uint64_t parse_start = obs::Trace::NowMicros();
+      Result<Query> parsed = Parse(query_text);
+      timeline.parse_us = obs::Trace::NowMicros() - parse_start;
+      if (!parsed.ok()) return parsed.status();
+      query = std::move(*parsed);
     }
-    query = std::move(*parsed);
-  }
-
-  if (query.mode == QueryMode::kExplain) {
-    FRAPPE_TRACE_SPAN("session.plan");
-    const uint64_t plan_start = obs::Trace::NowMicros();
-    QueryResult result;
-    FRAPPE_ASSIGN_OR_RETURN(result.plan, Explain(db, query));
-    timeline.plan_us = obs::Trace::NowMicros() - plan_start;
-    result.stats.timeline = timeline;
-    return result;
-  }
-
-  if (query.mode == QueryMode::kAnalyze) {
-    // ANALYZE: rebuild the cardinality stats catalog from the live graph
-    // and swap it into the shared cache, so every reader of this database
-    // (and the next \save) gets fresh estimates.
-    FRAPPE_TRACE_SPAN("session.analyze");
-    static obs::Counter& builds =
-        obs::Registry::Global().GetCounter("catalog.builds");
-    static obs::Histogram& build_us =
-        obs::Registry::Global().GetHistogram("catalog.build_us");
-    if (db.view == nullptr || db.stats == nullptr) {
-      return Status::FailedPrecondition(
-          "ANALYZE needs a graph-backed database with a stats cache");
+    if (query.mode == QueryMode::kExplain) {
+      FRAPPE_TRACE_SPAN("session.plan");
+      const uint64_t plan_start = obs::Trace::NowMicros();
+      QueryResult explained;
+      FRAPPE_ASSIGN_OR_RETURN(explained.plan, Explain(db, query));
+      timeline.plan_us = obs::Trace::NowMicros() - plan_start;
+      return explained;
     }
-    const auto build_start = std::chrono::steady_clock::now();
-    graph::StatsCatalog catalog =
-        graph::BuildStatsCatalog(*db.view, db.name_index);
-    const double analyze_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - build_start)
-            .count();
-    builds.Add();
-    build_us.Record(static_cast<uint64_t>(analyze_ms * 1000.0));
-    obs::Registry::Global().GetGauge("catalog.nodes").Set(
-        static_cast<int64_t>(catalog.node_count));
-    obs::Registry::Global().GetGauge("catalog.edges").Set(
-        static_cast<int64_t>(catalog.edge_count));
-    obs::Registry::Global().GetGauge("catalog.bytes").Set(
-        static_cast<int64_t>(catalog.ByteSize()));
-
-    QueryResult result;
-    result.columns = {"nodes",      "edges", "node_types", "edge_types",
-                      "hub_count",  "index_fields", "catalog_bytes"};
-    result.rows.push_back(
-        {ResultValue::Scalar(graph::Value::Int(
-             static_cast<int64_t>(catalog.node_count))),
-         ResultValue::Scalar(graph::Value::Int(
-             static_cast<int64_t>(catalog.edge_count))),
-         ResultValue::Scalar(graph::Value::Int(
-             static_cast<int64_t>(catalog.node_types.size()))),
-         ResultValue::Scalar(graph::Value::Int(
-             static_cast<int64_t>(catalog.edge_types.size()))),
-         ResultValue::Scalar(
-             graph::Value::Int(static_cast<int64_t>(catalog.hubs.size()))),
-         ResultValue::Scalar(graph::Value::Int(
-             static_cast<int64_t>(catalog.index_fields.size()))),
-         ResultValue::Scalar(graph::Value::Int(
-             static_cast<int64_t>(catalog.ByteSize())))});
-    db.stats->Set(std::move(catalog));
-    timeline.exec_us = static_cast<uint64_t>(analyze_ms * 1000.0);
-    result.stats.timeline = timeline;
-    resource_scope.SyncCpu();
-    result.stats.cpu_us = resources.cpu_us();
-    result.stats.alloc_bytes = resources.alloc_bytes();
-    result.stats.peak_bytes = resources.peak_bytes();
-    RecordWorkloadTelemetry(normalized, query_text, /*ok=*/true, "ok",
-                            analyze_ms, /*rows=*/1, /*db_hits=*/0,
-                            /*fast_path=*/false, trace, timeline, resources);
-    return result;
-  }
-
-  ExecOptions exec_options = options;
-  if (query.mode == QueryMode::kProfile) exec_options.profile = true;
-  if (active.entry() != nullptr) {
-    // The registry's token aliases the caller's when one was supplied, so
-    // both /debug/cancel and the caller can trip the same switch.
-    exec_options.cancel = active.entry()->cancel_token;
-    if (exec_options.progress == nullptr) {
-      exec_options.progress = &active.entry()->progress;
+    if (query.mode == QueryMode::kAnalyze) {
+      return RunAnalyze(db, &timeline.exec_us);
     }
-  }
 
-  const auto exec_start = std::chrono::steady_clock::now();
-  const uint64_t exec_start_us = obs::Trace::NowMicros();
-  Result<QueryResult> result = [&] {
-    FRAPPE_TRACE_SPAN("session.execute");
-    return Execute(db, query, exec_options);
+    ExecOptions exec_options = options;
+    if (query.mode == QueryMode::kProfile) exec_options.profile = true;
+    if (active.entry() != nullptr) {
+      // The registry's token aliases the caller's when one was supplied,
+      // so both /debug/cancel and the caller can trip the same switch.
+      exec_options.cancel = active.entry()->cancel_token;
+      if (exec_options.progress == nullptr) {
+        exec_options.progress = &active.entry()->progress;
+      }
+    }
+    executed = true;
+    const uint64_t exec_start = obs::Trace::NowMicros();
+    Result<QueryResult> run = [&] {
+      FRAPPE_TRACE_SPAN("session.execute");
+      return Execute(db, query, exec_options);
+    }();
+    timeline.exec_us = obs::Trace::NowMicros() - exec_start;
+    if (run.ok() && query.mode == QueryMode::kProfile) {
+      FRAPPE_TRACE_SPAN("session.plan");
+      const uint64_t plan_start = obs::Trace::NowMicros();
+      FRAPPE_ASSIGN_OR_RETURN(run->plan, ProfilePlan(db, query, run->stats));
+      timeline.plan_us = obs::Trace::NowMicros() - plan_start;
+    }
+    return run;
   }();
-  timeline.exec_us = obs::Trace::NowMicros() - exec_start_us;
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - exec_start)
-          .count();
 
-  if (result.ok() && query.mode == QueryMode::kProfile) {
-    FRAPPE_TRACE_SPAN("session.plan");
-    const uint64_t plan_start = obs::Trace::NowMicros();
-    FRAPPE_ASSIGN_OR_RETURN(result->plan,
-                            ProfilePlan(db, query, result->stats));
-    timeline.plan_us = obs::Trace::NowMicros() - plan_start;
-  }
-
-  if (result.ok()) result->stats.timeline = timeline;
-
-  // Flush this thread's CPU delta so the totals below include the parse,
-  // plan, and execute work just done (lane CPU already landed via
+  // Flush this thread's CPU delta so the totals include the parse, plan,
+  // and execute work just done (lane CPU already landed via
   // ResourceLaneScope).
   resource_scope.SyncCpu();
+  obs::QueryRecord record;
+  record.ts_us = obs::NowUnixMicros();
+  record.fingerprint = normalized.fingerprint;
+  record.trace_hi = trace.trace_hi;
+  record.trace_lo = trace.trace_lo;
+  record.query = std::move(normalized.text);
+  record.latency_us = timeline.exec_us;
+  record.queue_us = timeline.queue_us;
+  record.parse_us = timeline.parse_us;
+  record.plan_us = timeline.plan_us;
+  record.exec_us = timeline.exec_us;
+  record.cpu_us = resources.cpu_us();
+  record.alloc_bytes = resources.alloc_bytes();
+  record.peak_bytes = resources.peak_bytes();
   if (result.ok()) {
-    result->stats.cpu_us = resources.cpu_us();
-    result->stats.alloc_bytes = resources.alloc_bytes();
-    result->stats.peak_bytes = resources.peak_bytes();
+    ExecStats& stats = result->stats;
+    record.rows = result->rows.size();
+    record.db_hits = stats.db_hits.Total();
+    record.fast_path = stats.fast_path_taken;
+    stats.timeline = timeline;
+    stats.cpu_us = record.cpu_us;
+    stats.alloc_bytes = record.alloc_bytes;
+    stats.peak_bytes = record.peak_bytes;
     // scanned_bytes was filled by the executor.
+  } else {
+    record.status = StatusCodeName(result.status().code());
   }
 
-  const char* status_name =
-      result.ok() ? "ok" : StatusCodeName(result.status().code());
-  RecordWorkloadTelemetry(
-      normalized, query_text, result.ok(), status_name, elapsed_ms,
-      result.ok() ? result->rows.size() : 0,
-      result.ok() ? result->stats.db_hits.Total() : 0,
-      result.ok() && result->stats.fast_path_taken, trace, timeline,
-      resources);
-
   // Estimate-vs-actual instrumentation: compare the planner's final-row
-  // estimate against what the execution produced, feed the q-error
-  // histogram and the per-fingerprint worst-case, and route crossings of
-  // FRAPPE_MISESTIMATE_QERROR to the misestimate ring + structured log.
-  if (result.ok() && !EstimatorDisabled()) {
-    ClauseEstimates estimates = EstimateQuery(db, query);
-    const double actual = static_cast<double>(result->rows.size());
-    const double q = QError(estimates.final_rows, actual);
-    const uint64_t q_x100 = static_cast<uint64_t>(q * 100.0);
-    static obs::Histogram& qerror_hist =
-        obs::Registry::Global().GetHistogram("plan.qerror_x100");
-    qerror_hist.Record(q_x100);
-    obs::QueryStats::Global()
-        .GetOrCreate(normalized.fingerprint, normalized.text)
-        .RecordQError(q_x100);
-    double qerror_threshold = MisestimateQErrorThreshold();
-    if (qerror_threshold > 0.0 && q >= qerror_threshold) {
-      static obs::Counter& misestimates =
-          obs::Registry::Global().GetCounter("plan.misestimates");
+  // estimate against what the execution produced. The q-error feeds the
+  // histogram and the per-fingerprint worst case; crossing
+  // FRAPPE_MISESTIMATE_QERROR also retains the query and warn-logs it.
+  uint32_t reasons = 0;
+  if (executed && result.ok() && !EstimatorDisabled()) {
+    record.estimated = true;
+    record.est_rows = EstimateQuery(db, query).final_rows;
+    record.qerror =
+        QError(record.est_rows, static_cast<double>(record.rows));
+    const double qerror_threshold = obs::MisestimateQErrorThreshold();
+    if (qerror_threshold > 0.0 && record.qerror >= qerror_threshold) {
+      reasons |= obs::kRetainMisestimate;
       misestimates.Add();
-      obs::MisestimateRing::Record miss;
-      miss.ts_us = NowUnixMicros();
-      miss.fingerprint = normalized.fingerprint;
-      miss.normalized = normalized.text;
-      miss.est_rows = estimates.final_rows;
-      miss.actual_rows = result->rows.size();
-      miss.qerror = q;
-      obs::MisestimateRing::Global().Push(std::move(miss));
       char detail[160];
       std::snprintf(detail, sizeof(detail),
-                    "plan misestimate q=%.2f (est=%.1f actual=%zu) fp=",
-                    q, estimates.final_rows, result->rows.size());
-      obs::LogWarn("planner",
-                   detail + obs::FingerprintHex(normalized.fingerprint) +
-                       ": " + normalized.text);
+                    "plan misestimate q=%.2f (est=%.1f actual=%llu) fp=",
+                    record.qerror, record.est_rows,
+                    static_cast<unsigned long long>(record.rows));
+      obs::LogWarn("planner", detail + obs::FingerprintHex(record.fingerprint) +
+                                  ": " + record.query);
     }
   }
 
@@ -466,15 +342,17 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
   // Identified by fingerprint + normalized text (not the raw query):
   // that's the key the /stats fingerprint table and the query log use, so
   // the three views join on `fp` — and literals stay out of the log.
-  int64_t threshold_ms = SlowQueryThresholdMs();
-  if (threshold_ms >= 0 && elapsed_ms >= static_cast<double>(threshold_ms)) {
+  const int64_t threshold_ms = executed ? obs::SlowQueryThresholdMs() : -1;
+  if (threshold_ms >= 0 &&
+      record.latency_us >= static_cast<uint64_t>(threshold_ms) * 1000) {
+    reasons |= obs::kRetainSlow;
     slow_queries.Add();
-    std::string message = "[frappe] slow query (" +
-                          std::to_string(elapsed_ms) + " ms >= " +
-                          std::to_string(threshold_ms) + " ms) fp=" +
-                          obs::FingerprintHex(normalized.fingerprint) +
-                          " trace=" + obs::TraceIdHex(trace) + ": " +
-                          normalized.text + "\n";
+    std::string message =
+        "[frappe] slow query (" +
+        std::to_string(static_cast<double>(record.latency_us) / 1000.0) +
+        " ms >= " + std::to_string(threshold_ms) +
+        " ms) fp=" + obs::FingerprintHex(record.fingerprint) +
+        " trace=" + obs::TraceIdHex(trace) + ": " + record.query + "\n";
     if (result.ok() && !result->plan.empty()) {
       message += result->plan;
     } else if (Result<std::string> plan = Explain(db, query); plan.ok()) {
@@ -484,16 +362,21 @@ Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
       message += "status: " + result.status().ToString() + "\n";
     }
     EmitSlowQueryLog(message);
-    obs::SlowQueryRing::Record slow;
-    slow.ts_us = NowUnixMicros();
-    slow.fingerprint = normalized.fingerprint;
-    slow.trace_id = obs::TraceIdHex(trace);
-    slow.normalized = normalized.text;
-    slow.latency_ms = elapsed_ms;
-    slow.threshold_ms = threshold_ms;
-    slow.status = status_name;
-    obs::SlowQueryRing::Global().Push(std::move(slow));
   }
+
+  // The verbatim text is only copied when something keeps it.
+  if (reasons != 0 || obs::QueryLog::Global().enabled()) {
+    record.raw = std::string(query_text);
+  }
+  obs::RecordWorkloadTelemetry(record);
+  if (reasons != 0) {
+    obs::RetainedQuery entry;
+    entry.record = record;
+    entry.reasons = reasons;
+    if (reasons & obs::kRetainSlow) entry.slow_threshold_ms = threshold_ms;
+    obs::RetentionStore::Global().Retain(std::move(entry));
+  }
+  if (record_out != nullptr) *record_out = std::move(record);
   return result;
 }
 

@@ -15,14 +15,23 @@
 #include "query/database.h"
 #include "query/executor.h"
 
+namespace frappe::obs {
+struct QueryRecord;
+}  // namespace frappe::obs
+
 namespace frappe::query {
 
 // Parses and executes `query_text` against a wired Database: EXPLAIN
 // returns the plan without executing, PROFILE annotates it with operator
 // stats, and the FRAPPE_SLOW_QUERY_MS slow-query log applies. Session and
 // SnapshotSession both run queries through this.
+// Every call, whatever its outcome, builds exactly one obs::QueryRecord and
+// feeds it to the workload telemetry (obs/query_record.h); when `record` is
+// non-null the record is also handed back, e.g. for the query server's
+// retention decision.
 Result<QueryResult> RunQuery(const Database& db, std::string_view query_text,
-                             const ExecOptions& options = {});
+                             const ExecOptions& options = {},
+                             obs::QueryRecord* record = nullptr);
 
 // End-to-end query session over a Frappé code graph: owns the auto name
 // index and label index, wires schema-aware label/property resolution

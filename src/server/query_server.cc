@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <utility>
 
@@ -13,9 +12,9 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
+#include "obs/query_record.h"
 #include "obs/readiness.h"
 #include "obs/trace.h"
-#include "obs/trace_store.h"
 #include "query/executor.h"
 #include "query/session.h"
 
@@ -79,25 +78,6 @@ obs::Histogram& QueueWaitHistogram() {
   static obs::Histogram& h =
       obs::Registry::Global().GetHistogram("server.queue_wait_us");
   return h;
-}
-
-uint64_t NowUnixMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-// Slow-query threshold in ms (-1 = unset) — the same knob the session's
-// slow-query log reads, reused here as the trace-retention bar so "it was
-// logged slow" and "its trace was retained" agree.
-int64_t SlowTraceThresholdMs() {
-  const char* env = std::getenv("FRAPPE_SLOW_QUERY_MS");
-  if (env == nullptr || *env == '\0') return -1;
-  char* end = nullptr;
-  long long value = std::strtoll(env, &end, 10);
-  if (end == env || value < 0) return -1;
-  return static_cast<int64_t>(value);
 }
 
 // HTTP status for a failed query. 499 is the nginx convention for
@@ -201,21 +181,24 @@ std::string RenderTimelineJson(const query::Timeline& t) {
 // an operator chasing 429s has in hand: retain a one-span tree tagged
 // "shed" so /debug/tracez?trace_id= explains the refusal.
 void RetainShedTrace(const AdmissionQueue::Item& item) {
-  obs::StoredTrace trace;
-  trace.trace_hi = item.trace.trace_hi;
-  trace.trace_lo = item.trace.trace_lo;
-  trace.reason = "shed";
-  trace.status = "ResourceExhausted";
-  trace.fingerprint = obs::FingerprintHex(
-      obs::NormalizeQuery(item.conn.request().body).fingerprint);
-  trace.ts_us = NowUnixMicros();
+  obs::NormalizedQuery normalized =
+      obs::NormalizeQuery(item.conn.request().body);
+  obs::RetainedQuery shed;
+  shed.reasons = obs::kRetainShed;
+  shed.record.ts_us = obs::NowUnixMicros();
+  shed.record.fingerprint = normalized.fingerprint;
+  shed.record.trace_hi = item.trace.trace_hi;
+  shed.record.trace_lo = item.trace.trace_lo;
+  shed.record.query = std::move(normalized.text);
+  shed.record.raw = item.conn.request().body;
+  shed.record.status = StatusCodeName(StatusCode::kResourceExhausted);
   obs::CollectedSpan span;
   span.name = "server.shed";
   span.span_id = item.trace.span_id;
   span.parent_id = item.root_parent_id;
   span.start_us = obs::Trace::NowMicros();
-  trace.spans.push_back(span);
-  obs::TraceStore::Global().Retain(std::move(trace));
+  shed.spans.push_back(span);
+  obs::RetentionStore::Global().Retain(std::move(shed));
 }
 
 }  // namespace
@@ -474,11 +457,14 @@ HttpResponse QueryServer::ExecuteQuery(const AdmissionQueue::Item& item,
   // Everything from here to serialization runs under the request's trace
   // scope: session/executor/kernel spans parent under the root span and
   // land in the per-request sink, and the session reads the trace id and
-  // queue wait for its own telemetry (query log, /stats, slow-query ring).
+  // queue wait for its own telemetry. It hands back the query's record,
+  // which the retention decision below reuses.
   query::Timeline timeline;
+  obs::RetainedQuery retained;
   Result<query::QueryResult> result = [&] {
     obs::TraceScope scope(item.trace, item.sink.get(), queue_wait_us);
-    return query::RunQuery(epoch->db, request.body, exec_options);
+    return query::RunQuery(epoch->db, request.body, exec_options,
+                           &retained.record);
   }();
   if (result.ok()) {
     timeline = result->stats.timeline;
@@ -502,34 +488,24 @@ HttpResponse QueryServer::ExecuteQuery(const AdmissionQueue::Item& item,
   }
 
   // Tail-sampling decision: keep the span tree for anything that went
-  // wrong, anything slow, and anything the client explicitly traced.
-  const double latency_ms =
-      static_cast<double>(timeline.total_us) / 1000.0;
-  std::string reason;
+  // wrong, anything whose whole request was slow, and anything the client
+  // explicitly traced. It merges into whatever the session retained under
+  // the same trace id (slow execution, misestimate).
   if (!result.ok()) {
-    reason = result.status().code() == StatusCode::kCancelled ? "cancelled"
-                                                              : "error";
-  } else {
-    int64_t slow_ms = SlowTraceThresholdMs();
-    if (slow_ms >= 0 && latency_ms >= static_cast<double>(slow_ms)) {
-      reason = "slow";
-    } else if (item.trace_requested) {
-      reason = "requested";
-    }
+    retained.reasons |= result.status().code() == StatusCode::kCancelled
+                            ? obs::kRetainCancelled
+                            : obs::kRetainError;
   }
-  if (!reason.empty() && item.sink != nullptr) {
-    obs::StoredTrace stored;
-    stored.trace_hi = item.trace.trace_hi;
-    stored.trace_lo = item.trace.trace_lo;
-    stored.reason = std::move(reason);
-    stored.status =
-        result.ok() ? "ok" : StatusCodeName(result.status().code());
-    stored.fingerprint = obs::FingerprintHex(
-        obs::NormalizeQuery(request.body).fingerprint);
-    stored.ts_us = NowUnixMicros();
-    stored.latency_ms = latency_ms;
-    stored.dropped_spans = item.sink->dropped();
-    stored.spans = item.sink->TakeSpans();
+  const int64_t slow_ms = obs::SlowQueryThresholdMs();
+  if (slow_ms >= 0 &&
+      timeline.total_us >= static_cast<uint64_t>(slow_ms) * 1000) {
+    retained.reasons |= obs::kRetainSlow;
+  }
+  if (item.trace_requested) retained.reasons |= obs::kRetainRequested;
+  if (retained.reasons != 0 && item.sink != nullptr) {
+    retained.record.raw = request.body;
+    retained.dropped_spans = item.sink->dropped();
+    retained.spans = item.sink->TakeSpans();
     // The root span covers enqueue through serialization; its parent is
     // the client's span id when one arrived via traceparent.
     obs::CollectedSpan root;
@@ -538,8 +514,8 @@ HttpResponse QueryServer::ExecuteQuery(const AdmissionQueue::Item& item,
     root.parent_id = item.root_parent_id;
     root.start_us = item.enqueue_trace_us;
     root.dur_us = timeline.total_us;
-    stored.spans.push_back(root);
-    obs::TraceStore::Global().Retain(std::move(stored));
+    retained.spans.push_back(root);
+    obs::RetentionStore::Global().Retain(std::move(retained));
   }
   return response;
 }

@@ -36,7 +36,8 @@ namespace frappe::server {
 // headers fall back to minting, never 4xx. Every worker-side response
 // carries a `traceparent` response header. Span trees for slow / errored /
 // cancelled / shed / explicitly-traced requests are retained in the
-// obs::TraceStore, served by /debug/tracez?trace_id=<id>.
+// obs::RetentionStore, merged with the session's record of the same query
+// and served by /debug/tracez?trace_id=<id>.
 //   GET  /healthz   liveness ("ok")
 //   GET  /readyz    readiness (obs::Readiness: draining/overloaded 503)
 //

@@ -27,9 +27,9 @@
 #include "model/code_graph.h"
 #include "obs/fingerprint.h"
 #include "obs/log.h"
+#include "obs/query_record.h"
 #include "obs/query_registry.h"
 #include "obs/trace.h"
-#include "obs/trace_store.h"
 #include "query/session.h"
 #include "tests/query/fixture.h"
 
@@ -242,16 +242,14 @@ TEST_F(DebugEndpointsTest, TracezServesTheRingWithoutBlocking) {
 }
 
 TEST_F(DebugEndpointsTest, TracezServesRetainedTracesById) {
-  TraceStore& store = TraceStore::Global();
+  RetentionStore& store = RetentionStore::Global();
   store.Clear();
-  StoredTrace retained;
-  retained.trace_hi = 0x0123456789abcdefull;
-  retained.trace_lo = 0xfedcba9876543210ull;
-  retained.reason = "slow";
-  retained.status = "ok";
-  retained.fingerprint = "00000000deadbeef";
-  retained.ts_us = 1;
-  retained.latency_ms = 12.5;
+  RetainedQuery retained;
+  retained.record.trace_hi = 0x0123456789abcdefull;
+  retained.record.trace_lo = 0xfedcba9876543210ull;
+  retained.record.fingerprint = 0xdeadbeefull;
+  retained.record.ts_us = 1;
+  retained.reasons = kRetainSlow;
   CollectedSpan root;
   root.name = "server.request";
   root.span_id = 0x10;

@@ -94,12 +94,38 @@ class QueryStatsTest : public ::testing::Test {
   void TearDown() override { QueryStats::Global().ResetForTesting(); }
 };
 
+// A finished query as the session would record it.
+QueryRecord Finished(bool ok, uint64_t latency_us, uint64_t rows,
+                     uint64_t db_hits) {
+  QueryRecord record;
+  record.status = ok ? "ok" : "DeadlineExceeded";
+  record.latency_us = latency_us;
+  record.rows = rows;
+  record.db_hits = db_hits;
+  return record;
+}
+
 TEST_F(QueryStatsTest, RecordsAccumulate) {
   auto& entry = QueryStats::Global().GetOrCreate(42, "match(f)return f");
-  entry.Record(/*ok=*/true, /*latency=*/100, /*row_count=*/7,
-               /*hit_count=*/50);
-  entry.Record(/*ok=*/false, /*latency=*/300, /*row_count=*/0,
-               /*hit_count=*/10);
+  QueryRecord first = Finished(/*ok=*/true, /*latency_us=*/100, /*rows=*/7,
+                               /*db_hits=*/50);
+  first.queue_us = 1;
+  first.parse_us = 2;
+  first.plan_us = 3;
+  first.exec_us = 94;
+  first.cpu_us = 80;
+  first.alloc_bytes = 4096;
+  first.peak_bytes = 1024;
+  first.estimated = true;
+  first.qerror = 2.5;
+  entry.Record(first);
+  QueryRecord second = Finished(/*ok=*/false, /*latency_us=*/300,
+                                /*rows=*/0, /*db_hits=*/10);
+  second.exec_us = 300;
+  second.cpu_us = 20;
+  second.alloc_bytes = 100;
+  second.peak_bytes = 512;
+  entry.Record(second);
   auto all = QueryStats::Global().SnapshotAll();
   ASSERT_EQ(all.size(), 1u);
   EXPECT_EQ(all[0].fingerprint, 42u);
@@ -111,6 +137,15 @@ TEST_F(QueryStatsTest, RecordsAccumulate) {
   EXPECT_EQ(all[0].rows, 7u);
   EXPECT_EQ(all[0].db_hits, 60u);
   EXPECT_EQ(all[0].latency.count, 2u);
+  // The timeline and resource totals sum; peak and q-error keep the worst.
+  EXPECT_EQ(all[0].queue_us_total, 1u);
+  EXPECT_EQ(all[0].parse_us_total, 2u);
+  EXPECT_EQ(all[0].plan_us_total, 3u);
+  EXPECT_EQ(all[0].exec_us_total, 394u);
+  EXPECT_EQ(all[0].cpu_us_total, 100u);
+  EXPECT_EQ(all[0].alloc_bytes_total, 4196u);
+  EXPECT_EQ(all[0].peak_bytes_max, 1024u);
+  EXPECT_EQ(all[0].worst_qerror_x100, 250u);
 }
 
 TEST_F(QueryStatsTest, GetOrCreateInternsOnce) {
@@ -121,10 +156,14 @@ TEST_F(QueryStatsTest, GetOrCreateInternsOnce) {
 }
 
 TEST_F(QueryStatsTest, TopOrdersByTotalLatencyAndCalls) {
-  QueryStats::Global().GetOrCreate(1, "cheap").Record(true, 10, 1, 1);
-  QueryStats::Global().GetOrCreate(1, "cheap").Record(true, 10, 1, 1);
-  QueryStats::Global().GetOrCreate(1, "cheap").Record(true, 10, 1, 1);
-  QueryStats::Global().GetOrCreate(2, "expensive").Record(true, 900, 1, 1);
+  QueryStats::Global().GetOrCreate(1, "cheap").Record(
+      Finished(true, 10, 1, 1));
+  QueryStats::Global().GetOrCreate(1, "cheap").Record(
+      Finished(true, 10, 1, 1));
+  QueryStats::Global().GetOrCreate(1, "cheap").Record(
+      Finished(true, 10, 1, 1));
+  QueryStats::Global().GetOrCreate(2, "expensive").Record(
+      Finished(true, 900, 1, 1));
 
   auto by_latency = QueryStats::Global().Top(1, QueryStats::Order::kTotalLatency);
   ASSERT_EQ(by_latency.size(), 1u);
@@ -138,7 +177,7 @@ TEST_F(QueryStatsTest, TopOrdersByTotalLatencyAndCalls) {
 TEST_F(QueryStatsTest, DumpJsonContainsTheEntry) {
   QueryStats::Global()
       .GetOrCreate(0xABCD, "match(f)return f")
-      .Record(true, 250, 3, 42);
+      .Record(Finished(true, 250, 3, 42));
   std::string json = QueryStats::Global().DumpJson();
   EXPECT_NE(json.find("\"fp\": \"000000000000abcd\""), std::string::npos)
       << json;
@@ -162,8 +201,8 @@ TEST_F(QueryStatsTest, ConcurrentRecordsAreExactAfterQuiesce) {
         uint64_t fp = static_cast<uint64_t>((t + i) % kFingerprints) + 1;
         QueryStats::Global()
             .GetOrCreate(fp, "shape")
-            .Record(/*ok=*/i % 10 != 0, /*latency=*/1, /*row_count=*/2,
-                    /*hit_count=*/3);
+            .Record(Finished(/*ok=*/i % 10 != 0, /*latency_us=*/1,
+                             /*rows=*/2, /*db_hits=*/3));
       }
     });
   }
@@ -188,28 +227,6 @@ TEST_F(QueryStatsTest, ConcurrentRecordsAreExactAfterQuiesce) {
   EXPECT_EQ(rows, 2 * kTotal);
   EXPECT_EQ(hits, 3 * kTotal);
   EXPECT_EQ(histogram_count, kTotal);
-}
-
-// ---------------------------------------------------------------------------
-// SlowQueryRing.
-
-TEST(SlowQueryRingTest, KeepsTheMostRecentRecords) {
-  SlowQueryRing::Global().ResetForTesting();
-  for (int i = 0; i < static_cast<int>(SlowQueryRing::kCapacity) + 10; ++i) {
-    SlowQueryRing::Record record;
-    record.ts_us = i;
-    record.fingerprint = static_cast<uint64_t>(i);
-    record.normalized = "q" + std::to_string(i);
-    record.latency_ms = 1.0;
-    SlowQueryRing::Global().Push(std::move(record));
-  }
-  auto all = SlowQueryRing::Global().SnapshotAll();
-  ASSERT_EQ(all.size(), SlowQueryRing::kCapacity);
-  // Oldest-first: the first 10 were overwritten.
-  EXPECT_EQ(all.front().ts_us, 10);
-  EXPECT_EQ(all.back().ts_us,
-            static_cast<int64_t>(SlowQueryRing::kCapacity) + 9);
-  SlowQueryRing::Global().ResetForTesting();
 }
 
 }  // namespace

@@ -12,11 +12,12 @@
 namespace frappe::obs {
 namespace {
 
-QueryLogRecord MakeRecord(int i) {
-  QueryLogRecord record;
+QueryRecord MakeRecord(int i) {
+  QueryRecord record;
   record.ts_us = 1700000000000000 + i;
   record.fingerprint = 0xDEADBEEF00000000ull + static_cast<uint64_t>(i);
-  record.trace_id = TraceIdHex(0x1000 + static_cast<uint64_t>(i), 0x2000);
+  record.trace_hi = 0x1000 + static_cast<uint64_t>(i);
+  record.trace_lo = 0x2000;
   record.query = "match(f:function{name:?})return f";
   record.raw = "MATCH (f:function {name: 'fn_" + std::to_string(i) +
                "'}) RETURN f";
@@ -33,8 +34,8 @@ int64_t FileSize(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0 ? st.st_size : -1;
 }
 
-TEST(QueryLogRecordTest, JsonLineRoundTrips) {
-  QueryLogRecord record = MakeRecord(7);
+TEST(QueryRecordJsonTest, JsonLineRoundTrips) {
+  QueryRecord record = MakeRecord(7);
   record.status = "DeadlineExceeded";
   std::string line = ToJsonLine(record);
   ASSERT_EQ(line.back(), '\n');
@@ -43,6 +44,8 @@ TEST(QueryLogRecordTest, JsonLineRoundTrips) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->ts_us, record.ts_us);
   EXPECT_EQ(parsed->fingerprint, record.fingerprint);
+  EXPECT_EQ(parsed->trace_hi, record.trace_hi);
+  EXPECT_EQ(parsed->trace_lo, record.trace_lo);
   EXPECT_EQ(parsed->query, record.query);
   EXPECT_EQ(parsed->raw, record.raw);
   EXPECT_EQ(parsed->status, "DeadlineExceeded");
@@ -52,8 +55,8 @@ TEST(QueryLogRecordTest, JsonLineRoundTrips) {
   EXPECT_EQ(parsed->fast_path, record.fast_path);
 }
 
-TEST(QueryLogRecordTest, JsonEscapesSurvive) {
-  QueryLogRecord record;
+TEST(QueryRecordJsonTest, JsonEscapesSurvive) {
+  QueryRecord record;
   record.fingerprint = 1;
   record.query = "match(n{name:?})";
   record.raw = "MATCH (n {name: 'quote\"back\\slash\ttab\nnewline'})";
@@ -62,7 +65,15 @@ TEST(QueryLogRecordTest, JsonEscapesSurvive) {
   EXPECT_EQ(parsed->raw, record.raw);
 }
 
-TEST(QueryLogRecordTest, ParseRejectsGarbage) {
+TEST(QueryRecordJsonTest, MalformedTraceIdLoadsAsUnknown) {
+  // Lines written before every query carried a trace id still load.
+  auto parsed = ParseJsonLine(
+      "{\"fp\":\"0000000000000001\",\"trace_id\":\"\",\"query\":\"q\"}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->trace_hi | parsed->trace_lo, 0u);
+}
+
+TEST(QueryRecordJsonTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseJsonLine("not json").ok());
   EXPECT_FALSE(ParseJsonLine("{\"ts_us\": 1}").ok());  // missing fp/query
   EXPECT_FALSE(ParseJsonLine("").ok());
@@ -158,7 +169,7 @@ TEST_F(QueryLogTest, RotationHonorsSizeCapWithoutTearingLines) {
   ASSERT_TRUE(rotated.ok()) << rotated.status().ToString();
   auto live = ReadQueryLogFile(path);
   ASSERT_TRUE(live.ok()) << live.status().ToString();
-  std::vector<QueryLogRecord> survived = *rotated;
+  std::vector<QueryRecord> survived = *rotated;
   survived.insert(survived.end(), live->begin(), live->end());
   ASSERT_FALSE(survived.empty());
   EXPECT_EQ(survived.back().rows, static_cast<uint64_t>(kRecords - 1));
@@ -200,7 +211,7 @@ TEST_F(QueryLogTest, ExportsSchemaFixture) {
   options.path = path;
   ASSERT_TRUE(QueryLog::Global().Enable(options).ok());
   for (int i = 0; i < 10; ++i) {
-    QueryLogRecord record = MakeRecord(i);
+    QueryRecord record = MakeRecord(i);
     if (i == 9) record.status = "InvalidArgument";
     QueryLog::Global().Record(std::move(record));
   }

@@ -66,7 +66,7 @@ TEST_F(ReplayTest, RecordedQueriesReplayWithMatchingRowCounts) {
   query::Session replay_session(replay_fixture.graph);
   size_t replayed = 0;
   for (size_t i = 0; i < records->size(); ++i) {
-    const QueryLogRecord& record = (*records)[i];
+    const QueryRecord& record = (*records)[i];
     EXPECT_EQ(record.raw, workload[i]);  // verbatim text survived the log
     EXPECT_EQ(record.fingerprint,
               NormalizeQuery(record.raw).fingerprint);

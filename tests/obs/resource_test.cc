@@ -19,6 +19,8 @@
 #include "gtest/gtest.h"
 #include "model/code_graph.h"
 #include "obs/fingerprint.h"
+#include "obs/query_record.h"
+#include "obs/stats_server.h"
 #include "query/session.h"
 #include "tests/query/fig5_predicate.h"
 #include "tests/query/fixture.h"
@@ -154,6 +156,18 @@ TEST(ResourceQueryTest, RunQueryFillsResourceStats) {
   QueryStats::Global().ResetForTesting();
 }
 
+// The short name of some function that calls another: a closure seed.
+std::string CallsSeed(const model::CodeGraph& graph) {
+  graph::TypeId calls = graph.schema().edge_type(model::EdgeKind::kCalls);
+  graph::KeyId short_name = graph.schema().key(model::PropKey::kShortName);
+  const graph::GraphView& view = graph.view();
+  for (graph::EdgeId e = 0; e < view.EdgeIdUpperBound(); ++e) {
+    if (!view.EdgeExists(e) || view.GetEdge(e).type != calls) continue;
+    return std::string(view.GetNodeString(view.GetEdge(e).src, short_name));
+  }
+  return "";
+}
+
 // A closure on a generated kernel burns enough CPU for the per-query
 // cpu_us to be meaningful; with multiple analytics lanes the summed
 // thread-CPU must be at least the exec wall time (two or more lanes busy
@@ -168,15 +182,7 @@ TEST(ResourceQueryTest, MultiLaneClosureCpuCoversExecWall) {
   extractor::GenerateKernelGraph(scale, &graph);
   query::Session session(graph);
 
-  graph::TypeId calls = graph.schema().edge_type(model::EdgeKind::kCalls);
-  graph::KeyId short_name = graph.schema().key(model::PropKey::kShortName);
-  std::string seed;
-  const graph::GraphView& view = graph.view();
-  for (graph::EdgeId e = 0; e < view.EdgeIdUpperBound() && seed.empty();
-       ++e) {
-    if (!view.EdgeExists(e) || view.GetEdge(e).type != calls) continue;
-    seed = std::string(view.GetNodeString(view.GetEdge(e).src, short_name));
-  }
+  const std::string seed = CallsSeed(graph);
   ASSERT_FALSE(seed.empty());
 
   query::ExecOptions options;
@@ -208,15 +214,7 @@ TEST(ResourceQueryTest, MemoryBudgetTripsResourceExhausted) {
   extractor::GenerateKernelGraph(scale, &graph);
   query::Session session(graph);
 
-  graph::TypeId calls = graph.schema().edge_type(model::EdgeKind::kCalls);
-  graph::KeyId short_name = graph.schema().key(model::PropKey::kShortName);
-  std::string seed;
-  const graph::GraphView& view = graph.view();
-  for (graph::EdgeId e = 0; e < view.EdgeIdUpperBound() && seed.empty();
-       ++e) {
-    if (!view.EdgeExists(e) || view.GetEdge(e).type != calls) continue;
-    seed = std::string(view.GetNodeString(view.GetEdge(e).src, short_name));
-  }
+  const std::string seed = CallsSeed(graph);
   ASSERT_FALSE(seed.empty());
 
   ::setenv("FRAPPE_QUERY_MEM_BYTES", "262144", 1);
@@ -236,6 +234,54 @@ TEST(ResourceQueryTest, MemoryBudgetTripsResourceExhausted) {
       << result.status().ToString();
 }
 
+// FRAPPE_QUERY_MEM_BYTES has one strict parser: the budget a query runs
+// under and the one /debug/memz reports agree for every spelling, and a
+// malformed value (negative, non-numeric, a unit suffix) counts as unset
+// instead of becoming a budget of a few bytes.
+TEST(ResourceQueryTest, MemoryBudgetKnobParsesOneWay) {
+  model::CodeGraph graph;
+  extractor::GraphScale scale;
+  scale.factor = 0.02;
+  extractor::GenerateKernelGraph(scale, &graph);
+  query::Session session(graph);
+  const std::string seed = CallsSeed(graph);
+  ASSERT_FALSE(seed.empty());
+  const std::string closure = "START n=node:node_auto_index('short_name: " +
+                              seed +
+                              "') MATCH n -[:calls*]-> m RETURN distinct m";
+
+  struct Spelling {
+    const char* value;  // nullptr = unset
+    uint64_t budget;
+  };
+  const Spelling spellings[] = {{nullptr, 0}, {"", 0},    {"0", 0},
+                                {"-1", 0},    {"abc", 0}, {"64MB", 0},
+                                {"250", 250}};
+  for (const Spelling& spelling : spellings) {
+    const std::string label = spelling.value ? spelling.value : "(unset)";
+    if (spelling.value != nullptr) {
+      ::setenv("FRAPPE_QUERY_MEM_BYTES", spelling.value, 1);
+    } else {
+      ::unsetenv("FRAPPE_QUERY_MEM_BYTES");
+    }
+    EXPECT_EQ(obs::QueryMemBudgetBytes(), spelling.budget) << label;
+    EXPECT_NE(obs::StatsServer::MemzJson().find(
+                  "\"query_mem_budget_bytes\": " +
+                  std::to_string(spelling.budget) + ","),
+              std::string::npos)
+        << label;
+    auto result = session.Run(closure);
+    if (spelling.budget == 0) {
+      EXPECT_TRUE(result.ok()) << label << ": " << result.status();
+    } else {
+      ASSERT_FALSE(result.ok()) << label;
+      EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+          << label << ": " << result.status();
+    }
+  }
+  ::unsetenv("FRAPPE_QUERY_MEM_BYTES");
+}
+
 // The budget also reaches the analytics kernels' flush cadence: the CSR
 // fast path cancels with the same status.
 TEST(ResourceQueryTest, MemoryBudgetReachesAnalyticsKernels) {
@@ -245,15 +291,7 @@ TEST(ResourceQueryTest, MemoryBudgetReachesAnalyticsKernels) {
   extractor::GenerateKernelGraph(scale, &graph);
   query::Session session(graph);
 
-  graph::TypeId calls = graph.schema().edge_type(model::EdgeKind::kCalls);
-  graph::KeyId short_name = graph.schema().key(model::PropKey::kShortName);
-  std::string seed;
-  const graph::GraphView& view = graph.view();
-  for (graph::EdgeId e = 0; e < view.EdgeIdUpperBound() && seed.empty();
-       ++e) {
-    if (!view.EdgeExists(e) || view.GetEdge(e).type != calls) continue;
-    seed = std::string(view.GetNodeString(view.GetEdge(e).src, short_name));
-  }
+  const std::string seed = CallsSeed(graph);
   ASSERT_FALSE(seed.empty());
 
   // A budget of 1 byte: the first flush after any allocation trips it.

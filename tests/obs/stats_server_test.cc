@@ -11,6 +11,7 @@
 
 #include "gtest/gtest.h"
 #include "obs/fingerprint.h"
+#include "obs/query_record.h"
 #include "obs/readiness.h"
 #include "query/session.h"
 #include "tests/query/fixture.h"
@@ -58,7 +59,7 @@ class StatsServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     QueryStats::Global().ResetForTesting();
-    SlowQueryRing::Global().ResetForTesting();
+    RetentionStore::Global().Clear();
     // Port 0: the kernel picks a free ephemeral port — no collisions
     // across parallel ctest jobs.
     auto server = StatsServer::Start();

@@ -17,6 +17,7 @@
 
 #include "gtest/gtest.h"
 #include "obs/fingerprint.h"
+#include "obs/query_record.h"
 #include "query/session.h"
 #include "tests/query/fixture.h"
 
@@ -109,7 +110,7 @@ TEST_F(StatzTest, ServesCatalogAndMisestimatesEndToEnd) {
   ASSERT_TRUE(session.Run("ANALYZE").ok());
   // Threshold 1 flags every estimated query (q >= 1 by definition): a
   // deterministic way to populate the ring and the worst-q column.
-  MisestimateRing::Global().ResetForTesting();
+  RetentionStore::Global().Clear();
   ::setenv("FRAPPE_MISESTIMATE_QERROR", "1", 1);
   ASSERT_TRUE(session.Run("MATCH (n:function) RETURN n").ok());
 
@@ -152,7 +153,7 @@ TEST_F(StatzTest, ServesCatalogAndMisestimatesEndToEnd) {
   // The catalog bytes also appear in the storage view when the embedder
   // registers them (shell behaviour) — covered by the shell itself; here
   // we only pin the statz schema.
-  MisestimateRing::Global().ResetForTesting();
+  RetentionStore::Global().Clear();
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Unit tests for the request-tracing primitives: W3C traceparent
 // parsing/formatting, trace/span id hex codecs, the per-request
-// SpanCollector, the TraceScope thread-state plumbing, and the bounded
-// tail-sampled TraceStore.
+// SpanCollector and the TraceScope thread-state plumbing. Retention of
+// the collected trees is covered by retention_test.cc.
 
 #include "obs/trace.h"
 
@@ -10,8 +10,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-
-#include "obs/trace_store.h"
 
 namespace frappe::obs {
 namespace {
@@ -156,76 +154,6 @@ TEST(TraceScopeTest, NoSpansRecordedWithoutScopeOrGlobalEnable) {
     EXPECT_EQ(span.span_id(), 0u);
   }
   EXPECT_EQ(sink.size(), 0u);
-}
-
-TEST(TraceStoreTest, RetainLookupReplaceAndEvict) {
-  TraceStore store(/*capacity=*/2);
-  StoredTrace a;
-  a.trace_hi = 1;
-  a.trace_lo = 1;
-  a.reason = "slow";
-  a.latency_ms = 10;
-  store.Retain(a);
-  StoredTrace out;
-  ASSERT_TRUE(store.Lookup(1, 1, &out));
-  EXPECT_EQ(out.reason, "slow");
-  EXPECT_FALSE(store.Lookup(9, 9, &out));
-
-  // Same trace id replaces rather than duplicating.
-  a.reason = "error";
-  store.Retain(a);
-  EXPECT_EQ(store.size(), 1u);
-  ASSERT_TRUE(store.Lookup(1, 1, &out));
-  EXPECT_EQ(out.reason, "error");
-
-  // Past capacity the oldest retained trace is evicted.
-  StoredTrace b = a;
-  b.trace_lo = 2;
-  store.Retain(b);
-  StoredTrace c = a;
-  c.trace_lo = 3;
-  store.Retain(c);
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.evicted(), 1u);
-  EXPECT_FALSE(store.Lookup(1, 1, &out));
-  EXPECT_TRUE(store.Lookup(1, 2, &out));
-  EXPECT_TRUE(store.Lookup(1, 3, &out));
-}
-
-TEST(TraceStoreTest, IndexAndTraceJsonCarryIdentity) {
-  TraceStore store;
-  StoredTrace t;
-  t.trace_hi = 0x4bf92f3577b34da6ull;
-  t.trace_lo = 0xa3ce929d0e0e4736ull;
-  t.reason = "requested";
-  t.status = "ok";
-  t.fingerprint = "0123456789abcdef";
-  t.latency_ms = 1.5;
-  CollectedSpan span;
-  span.name = "server.request";
-  span.span_id = 7;
-  span.start_us = 10;
-  span.dur_us = 20;
-  t.spans.push_back(span);
-  store.Retain(t);
-
-  std::string index = store.IndexJson();
-  EXPECT_NE(index.find("\"retained\": 1"), std::string::npos) << index;
-  EXPECT_NE(index.find("4bf92f3577b34da6a3ce929d0e0e4736"),
-            std::string::npos)
-      << index;
-  EXPECT_NE(index.find("\"reason\": \"requested\""), std::string::npos)
-      << index;
-
-  std::string tree = TraceStore::TraceJson(t);
-  EXPECT_NE(tree.find("\"traceEvents\""), std::string::npos) << tree;
-  EXPECT_NE(tree.find("server.request"), std::string::npos) << tree;
-  EXPECT_NE(tree.find("\"span_id\": \"0000000000000007\""),
-            std::string::npos)
-      << tree;
-  EXPECT_NE(tree.find("4bf92f3577b34da6a3ce929d0e0e4736"),
-            std::string::npos)
-      << tree;
 }
 
 }  // namespace

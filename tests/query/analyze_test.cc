@@ -1,7 +1,7 @@
 // ANALYZE + the cardinality estimator: the FQL command builds and swaps in
 // a stats catalog, EXPLAIN/PROFILE carry est_rows from it, and the
 // misestimate telemetry (q-error histogram, per-fingerprint worst case,
-// FRAPPE_MISESTIMATE_QERROR ring) fires on a seeded stale-catalog
+// FRAPPE_MISESTIMATE_QERROR retention) fires on a seeded stale-catalog
 // misestimate and clears after re-running ANALYZE.
 
 #include <gtest/gtest.h>
@@ -9,9 +9,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "graph/snapshot_manager.h"
 #include "obs/fingerprint.h"
+#include "obs/query_record.h"
 #include "query/estimator.h"
 #include "query/parser.h"
 #include "query/session.h"
@@ -21,6 +23,16 @@ namespace frappe::query {
 namespace {
 
 using testing::PaperFixture;
+
+// The retention store's misestimate entries, oldest first.
+std::vector<obs::RetainedQuery> Misestimates() {
+  std::vector<obs::RetainedQuery> out;
+  for (obs::RetainedQuery& entry :
+       obs::RetentionStore::Global().SnapshotAll()) {
+    if (entry.reasons & obs::kRetainMisestimate) out.push_back(entry);
+  }
+  return out;
+}
 
 class AnalyzeTest : public ::testing::Test {
  protected:
@@ -115,21 +127,21 @@ TEST_F(AnalyzeTest, StaleCatalogMisestimateFiresAndClearsAfterAnalyze) {
                                               callee));
   }
 
-  obs::MisestimateRing::Global().ResetForTesting();
+  obs::RetentionStore::Global().Clear();
   ::setenv("FRAPPE_MISESTIMATE_QERROR", "5", 1);
 
   QueryResult stale = Run(query);
   EXPECT_EQ(stale.rows.size(), 203u);  // 3 original + 200 ingested
-  auto recorded = obs::MisestimateRing::Global().SnapshotAll();
+  auto recorded = Misestimates();
   ASSERT_EQ(recorded.size(), 1u);
-  EXPECT_EQ(recorded[0].actual_rows, 203u);
-  EXPECT_GE(recorded[0].qerror, 5.0);
-  EXPECT_NE(recorded[0].normalized.find("calls"), std::string::npos);
+  EXPECT_EQ(recorded[0].record.rows, 203u);
+  EXPECT_GE(recorded[0].record.qerror, 5.0);
+  EXPECT_NE(recorded[0].record.query.find("calls"), std::string::npos);
 
   // The per-fingerprint table carries the worst q-error for the shape.
   bool found = false;
   for (const auto& snap : obs::QueryStats::Global().SnapshotAll()) {
-    if (snap.fingerprint == recorded[0].fingerprint) {
+    if (snap.fingerprint == recorded[0].record.fingerprint) {
       found = true;
       EXPECT_GE(snap.worst_qerror_x100, 500u);
     }
@@ -137,29 +149,29 @@ TEST_F(AnalyzeTest, StaleCatalogMisestimateFiresAndClearsAfterAnalyze) {
   EXPECT_TRUE(found);
 
   // Re-ANALYZE: the refreshed fanout brings the estimate back within the
-  // threshold — the same query no longer lands in the ring.
+  // threshold — the same query is not retained again.
   Run("ANALYZE");
   QueryResult fresh = Run(query);
   EXPECT_EQ(fresh.rows.size(), 203u);
-  EXPECT_EQ(obs::MisestimateRing::Global().SnapshotAll().size(), 1u);
+  EXPECT_EQ(Misestimates().size(), 1u);
 
   ::unsetenv("FRAPPE_MISESTIMATE_QERROR");
 }
 
 TEST_F(AnalyzeTest, EstimatorOffDisablesTheTelemetry) {
-  obs::MisestimateRing::Global().ResetForTesting();
+  obs::RetentionStore::Global().Clear();
   // Threshold 1.0 would flag every query (q >= 1 by definition) — unless
   // FRAPPE_ESTIMATOR=off short-circuits the whole comparison.
   ::setenv("FRAPPE_MISESTIMATE_QERROR", "1", 1);
   ::setenv("FRAPPE_ESTIMATOR", "off", 1);
   Run("MATCH (n:module) RETURN n");
-  EXPECT_TRUE(obs::MisestimateRing::Global().SnapshotAll().empty());
+  EXPECT_TRUE(Misestimates().empty());
   ::unsetenv("FRAPPE_ESTIMATOR");
   ::setenv("FRAPPE_MISESTIMATE_QERROR", "1", 1);
   Run("MATCH (n:module) RETURN n");
-  EXPECT_FALSE(obs::MisestimateRing::Global().SnapshotAll().empty());
+  EXPECT_FALSE(Misestimates().empty());
   ::unsetenv("FRAPPE_MISESTIMATE_QERROR");
-  obs::MisestimateRing::Global().ResetForTesting();
+  obs::RetentionStore::Global().Clear();
 }
 
 // A snapshot saved with a catalog reopens with warm estimates: the

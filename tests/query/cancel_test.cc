@@ -194,7 +194,7 @@ TEST(CancelTest, CancelledAndDeadlineStatusesReachTheQueryLog) {
   auto records = obs::ReadQueryLogFile(path);
   ASSERT_TRUE(records.ok()) << records.status().ToString();
   int cancelled = 0, deadline = 0;
-  for (const obs::QueryLogRecord& r : *records) {
+  for (const obs::QueryRecord& r : *records) {
     if (r.fingerprint != fp) continue;
     if (r.status == "Cancelled") ++cancelled;
     if (r.status == "DeadlineExceeded") ++deadline;

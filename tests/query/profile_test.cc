@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/fingerprint.h"
 #include "query/executor.h"
 #include "query/session.h"
 #include "tests/query/fixture.h"
@@ -353,6 +354,48 @@ TEST_F(ProfileTest, SlowQueryLogSilentWhenUnset) {
   SetSlowQueryLogSinkForTesting(nullptr);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(logged.empty());
+}
+
+// The /stats row of `fingerprint` (all zeros before its first query).
+obs::QueryStats::Snapshot StatsFor(uint64_t fingerprint) {
+  for (const obs::QueryStats::Snapshot& snap :
+       obs::QueryStats::Global().SnapshotAll()) {
+    if (snap.fingerprint == fingerprint) return snap;
+  }
+  return {};
+}
+
+// RunQuery records exactly one QueryRecord on every exit: each query below
+// raises its fingerprint's calls by one, and each failing one raises its
+// errors by one.
+TEST(RunQueryTelemetryTest, EveryExitRecordsExactlyOnce) {
+  PaperFixture fixture;
+  Session session(fixture.graph);
+  struct Exit {
+    const char* text;
+    uint64_t max_steps;  // 0 = unlimited
+    bool fails;
+  };
+  const Exit exits[] = {
+      {"THIS IS NOT FQL", 0, true},                        // parse error
+      {"EXPLAIN MATCH (n:module) RETURN n", 0, false},     // plan only
+      {"ANALYZE", 0, false},                               // catalog build
+      {"PROFILE MATCH (n:module) RETURN n", 0, false},     // annotated plan
+      {"MATCH (n:module) RETURN n", 0, false},             // plain execution
+      {"MATCH (f:function) RETURN f", 1, true},            // step budget
+  };
+  for (const Exit& exit : exits) {
+    const uint64_t fp = obs::NormalizeQuery(exit.text).fingerprint;
+    const obs::QueryStats::Snapshot before = StatsFor(fp);
+    ExecOptions options;
+    options.max_steps = exit.max_steps;
+    Result<QueryResult> result = session.Run(exit.text, options);
+    EXPECT_EQ(result.ok(), !exit.fails) << exit.text;
+    const obs::QueryStats::Snapshot after = StatsFor(fp);
+    EXPECT_EQ(after.calls - before.calls, 1u) << exit.text;
+    EXPECT_EQ(after.errors - before.errors, exit.fails ? 1u : 0u)
+        << exit.text;
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <vector>
 
 #include "extractor/synthetic.h"
 #include "model/code_graph.h"
@@ -26,7 +27,7 @@
 #include "obs/readiness.h"
 #include "obs/stats_server.h"
 #include "obs/trace.h"
-#include "obs/trace_store.h"
+#include "obs/query_record.h"
 #include "server/epoch.h"
 
 namespace frappe::server {
@@ -44,6 +45,22 @@ int64_t JsonInt(std::string_view body, const std::string& key) {
   size_t at = body.find(needle);
   if (at == std::string_view::npos) return -1;
   return std::strtoll(body.data() + at + needle.size(), nullptr, 10);
+}
+
+// The string after the first `"key": "` in `body`; empty when absent.
+std::string JsonString(std::string_view body, const std::string& key) {
+  std::string needle = "\"" + key + "\": \"";
+  size_t at = body.find(needle);
+  if (at == std::string_view::npos) return "";
+  at += needle.size();
+  return std::string(body.substr(at, body.find('"', at) - at));
+}
+
+// The text of the JSON array under `key` (up to its closing bracket).
+std::string_view JsonArray(std::string_view body, const std::string& key) {
+  size_t at = body.find("\"" + key + "\": [");
+  if (at == std::string_view::npos) return {};
+  return body.substr(at, body.find(']', at) - at);
 }
 
 // One shared epoch manager with a generated kernel-shaped graph: big
@@ -211,7 +228,7 @@ TEST_F(QueryServerTest, TimelineComponentsAccountForTheTotal) {
 }
 
 TEST_F(QueryServerTest, RequestedTraceIsRetainedWithParentedSpans) {
-  obs::TraceStore::Global().Clear();
+  obs::RetentionStore::Global().Clear();
   // A client-traced closure query: the CSR fast path dispatches the
   // frontier engine, so the retained tree holds queue-wait, session,
   // executor and per-level analytics spans.
@@ -224,11 +241,12 @@ TEST_F(QueryServerTest, RequestedTraceIsRetainedWithParentedSpans) {
   uint64_t hi = 0, lo = 0;
   ASSERT_TRUE(obs::ParseTraceIdHex("0af7651916cd43dd8448eb211c80319c", &hi,
                                    &lo));
-  obs::StoredTrace stored;
-  ASSERT_TRUE(obs::TraceStore::Global().Lookup(hi, lo, &stored))
+  obs::RetainedQuery stored;
+  ASSERT_TRUE(obs::RetentionStore::Global().Lookup(hi, lo, &stored))
       << "client-traced query was not retained";
-  EXPECT_EQ(stored.reason, "requested");
-  EXPECT_EQ(stored.status, "ok");
+  EXPECT_EQ(stored.reasons, obs::kRetainRequested);
+  EXPECT_EQ(stored.record.status, "ok");
+  EXPECT_EQ(stored.record.raw, SlowClosureQuery());
 
   const obs::CollectedSpan* root = nullptr;
   for (const obs::CollectedSpan& span : stored.spans) {
@@ -275,6 +293,57 @@ TEST_F(QueryServerTest, RequestedTraceIsRetainedWithParentedSpans) {
       << tree_body;
   WriteCapture("server_trace.json", tree_body);
   (*stats)->Stop();
+}
+
+// A slow, misestimated, client-traced query is one retained entry, and its
+// trace id alone joins /stats, /debug/statz and /debug/tracez.
+TEST_F(QueryServerTest, SlowMisestimateJoinsStatsStatzAndTracezByTraceId) {
+  obs::RetentionStore::Global().Clear();
+  const std::string trace_id = "4bf92f3577b34da6a3ce929d0e0e4736";
+  ::setenv("FRAPPE_SLOW_QUERY_MS", "0", 1);
+  // q-error >= 1 by definition: every estimated query crosses 1.
+  ::setenv("FRAPPE_MISESTIMATE_QERROR", "1", 1);
+  std::string response =
+      HttpFetch(port_, "POST", "/query", SlowClosureQuery(), 15000,
+                "traceparent: 00-" + trace_id + "-00f067aa0ba902b7-01\r\n");
+  ::unsetenv("FRAPPE_SLOW_QUERY_MS");
+  ::unsetenv("FRAPPE_MISESTIMATE_QERROR");
+  ASSERT_EQ(HttpStatusOf(response), 200) << response;
+
+  std::vector<obs::RetainedQuery> entries =
+      obs::RetentionStore::Global().SnapshotAll();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].reasons, obs::kRetainSlow | obs::kRetainMisestimate |
+                                    obs::kRetainRequested);
+  EXPECT_EQ(obs::TraceIdHex(entries[0].record.trace_hi,
+                            entries[0].record.trace_lo),
+            trace_id);
+  EXPECT_TRUE(entries[0].record.estimated);
+  EXPECT_FALSE(entries[0].spans.empty());
+
+  auto stats = obs::StatsServer::Start();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const uint16_t stats_port = (*stats)->port();
+  std::string stats_body(HttpBodyOf(HttpFetch(stats_port, "GET", "/stats")));
+  const std::string slow_trace =
+      JsonString(JsonArray(stats_body, "slow_queries"), "trace_id");
+  EXPECT_EQ(slow_trace, trace_id) << stats_body;
+
+  std::string tree =
+      HttpFetch(stats_port, "GET", "/debug/tracez?trace_id=" + slow_trace);
+  ASSERT_EQ(HttpStatusOf(tree), 200) << tree;
+  EXPECT_NE(tree.find("server.request"), std::string::npos) << tree;
+  EXPECT_NE(tree.find("\"reason\": \"slow,misestimate,requested\""),
+            std::string::npos)
+      << tree;
+
+  std::string statz_body(
+      HttpBodyOf(HttpFetch(stats_port, "GET", "/debug/statz")));
+  EXPECT_EQ(JsonString(JsonArray(statz_body, "misestimates"), "trace_id"),
+            trace_id)
+      << statz_body;
+  (*stats)->Stop();
+  obs::RetentionStore::Global().Clear();
 }
 
 TEST_F(QueryServerTest, HealthzAndReadyz) {

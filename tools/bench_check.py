@@ -39,17 +39,14 @@ import json
 import re
 import sys
 
+from checklib import fail
+
 DIRECTIONS_RE = re.compile(
     r"^((push|pull):(bitmap|array))(,(push|pull):(bitmap|array))*$")
 
 # Labels look like "<workload> / <engine>"; kernel engines carry the
 # direction fields.
 KERNEL_ENGINES = {"push-only", "pull-only", "parallel"}
-
-
-def fail(message):
-    print(f"bench_check: FAIL: {message}", file=sys.stderr)
-    return 1
 
 
 def is_int(v):

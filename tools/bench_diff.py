@@ -22,9 +22,7 @@ import argparse
 import json
 import sys
 
-
-def fail(message):
-    print(f"bench_diff: FAIL: {message}", file=sys.stderr)
+from checklib import fail
 
 
 def load(path):

@@ -32,11 +32,10 @@ files the obs_debug_endpoints_test fixture exports.
 
 import argparse
 import json
-import re
 import sys
 
-FP_RE = re.compile(r"^[0-9a-f]{16}$")
-TRACE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
+from checklib import FP_RE, TRACE_ID_RE, check_object, fail, load_json
+
 LOG_LEVELS = {"debug", "info", "warn", "error"}
 
 QUERY_SCHEMA = {
@@ -75,38 +74,6 @@ LOG_ENTRY_SCHEMA = {
     "component": str,
     "message": str,
 }
-
-
-def fail(message):
-    print(f"debugz_check: FAIL: {message}", file=sys.stderr)
-    return 1
-
-
-def load_json(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
-
-
-def check_object(path, obj, schema, where):
-    """Strict schema check: exact key set, typed values, ints non-bool."""
-    if not isinstance(obj, dict):
-        return fail(f"{path}: {where} is not a JSON object")
-    missing = schema.keys() - obj.keys()
-    if missing:
-        return fail(f"{path}: {where} missing keys: {sorted(missing)}")
-    unknown = obj.keys() - schema.keys()
-    if unknown:
-        return fail(f"{path}: {where} unknown keys: {sorted(unknown)}")
-    for key, expected in schema.items():
-        value = obj[key]
-        kinds = expected if isinstance(expected, tuple) else (expected,)
-        # bool is an int subclass in Python; keep int checks strict.
-        if bool not in kinds and isinstance(value, bool):
-            return fail(f"{path}: {where}.{key}={value!r} is a bool")
-        if not isinstance(value, kinds):
-            names = "/".join(k.__name__ for k in kinds)
-            return fail(f"{path}: {where}.{key}={value!r} is not {names}")
-    return 0
 
 
 def check_queryz(path):

@@ -35,15 +35,12 @@ import json
 import re
 import sys
 
+from checklib import fail, load_json
+
 FOLDED_LINE_RE = re.compile(r"^(?P<stack>\S+) (?P<count>\d+)$")
 
 MEMZ_TOP_KEYS = {"rss_bytes", "peak_rss_bytes", "query_mem_budget_bytes",
                  "sections", "total"}
-
-
-def fail(message):
-    print(f"profilez_check: FAIL: {message}", file=sys.stderr)
-    return 1
 
 
 def check_folded(path, min_samples, dominator, min_dominator_share):
@@ -93,8 +90,7 @@ def check_folded(path, min_samples, dominator, min_dominator_share):
 
 def check_memz(path):
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+        doc = load_json(path)
     except (OSError, json.JSONDecodeError) as e:
         return fail(f"cannot load {path}: {e}")
     if not isinstance(doc, dict):

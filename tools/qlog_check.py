@@ -8,8 +8,9 @@ Two checks, either or both per invocation:
       ToJsonLine writes — ts_us (int >= 0), fp (16 lower-case hex chars),
       trace_id (32 lower-case hex chars), query / raw / status (strings),
       latency_us / rows / db_hits (ints >= 0), fast_path (bool), and the
-      latency timeline queue_us / parse_us / plan_us / exec_us
-      (ints >= 0). Unknown keys fail: the schema is the contract replay
+      latency timeline queue_us / parse_us / plan_us / exec_us, and the
+      resources cpu_us / alloc_bytes / peak_bytes (ints >= 0). Unknown
+      keys fail: the schema (checklib.QLOG_SCHEMA) is the contract replay
       and downstream pipelines parse against.
 
   qlog_check.py --metrics <metrics.txt> [qlog.jsonl]
@@ -31,27 +32,10 @@ import json
 import re
 import sys
 
-QLOG_SCHEMA = {
-    "ts_us": int,
-    "fp": str,
-    "trace_id": str,
-    "query": str,
-    "raw": str,
-    "status": str,
-    "latency_us": int,
-    "rows": int,
-    "db_hits": int,
-    "fast_path": bool,
-    "queue_us": int,
-    "parse_us": int,
-    "plan_us": int,
-    "exec_us": int,
-    "cpu_us": int,
-    "alloc_bytes": int,
-    "peak_bytes": int,
-}
-FP_RE = re.compile(r"^[0-9a-f]{16}$")
-TRACE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
+from checklib import (FP_RE, QLOG_SCHEMA, TRACE_ID_RE, check_object,
+                      check_non_negative, fail)
+
+QLOG_INT_KEYS = [key for key, kind in QLOG_SCHEMA.items() if kind is int]
 
 METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 TYPE_LINE_RE = re.compile(r"^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (\w+)$")
@@ -62,11 +46,6 @@ SAMPLE_RE = re.compile(
 EXEMPLAR_RE = re.compile(
     r"^ # \{trace_id=\"(?P<trace_id>[0-9a-f]{32})\"\}"
     r" (?P<value>\S+)(?: (?P<ts>\S+))?$")
-
-
-def fail(message):
-    print(f"qlog_check: FAIL: {message}", file=sys.stderr)
-    return 1
 
 
 def check_qlog(path, min_records):
@@ -84,25 +63,11 @@ def check_qlog(path, min_records):
             record = json.loads(line)
         except json.JSONDecodeError as e:
             return fail(f"{path}:{lineno}: not valid JSON: {e}")
-        if not isinstance(record, dict):
-            return fail(f"{path}:{lineno}: not a JSON object")
-        missing = QLOG_SCHEMA.keys() - record.keys()
-        if missing:
-            return fail(f"{path}:{lineno}: missing keys: {sorted(missing)}")
-        unknown = record.keys() - QLOG_SCHEMA.keys()
-        if unknown:
-            return fail(f"{path}:{lineno}: unknown keys: {sorted(unknown)}")
-        for key, expected in QLOG_SCHEMA.items():
-            value = record[key]
-            # bool is an int subclass in Python; keep the check strict.
-            if expected is int and (not isinstance(value, int)
-                                    or isinstance(value, bool)):
-                return fail(f"{path}:{lineno}: {key}={value!r} is not an int")
-            if expected is not int and not isinstance(value, expected):
-                return fail(f"{path}:{lineno}: {key}={value!r} is not"
-                            f" {expected.__name__}")
-            if expected is int and value < 0:
-                return fail(f"{path}:{lineno}: {key}={value} is negative")
+        where = f"{path}:{lineno}"
+        rc = (check_object(where, record, QLOG_SCHEMA, "record")
+              or check_non_negative(where, record, QLOG_INT_KEYS, "record"))
+        if rc:
+            return rc
         if not FP_RE.match(record["fp"]):
             return fail(f"{path}:{lineno}: fp={record['fp']!r} is not 16"
                         " lower-case hex chars")

@@ -31,37 +31,16 @@ files the query_server_test fixture exports.
 
 import argparse
 import json
-import re
 import sys
+
+from checklib import (STATS_SCHEMA, TIMELINE_SCHEMA, TRACE_ID_RE,
+                      check_non_negative, check_object, fail, load_json)
 
 READYZ_STATES = {"ready", "degraded", "overloaded", "draining"}
 
-STATS_SCHEMA = {
-    "elapsed_ms": (int, float),
-    "rows": int,
-    "steps": int,
-    "db_hits": int,
-    "fast_path": bool,
-    "cpu_us": int,
-    "alloc_bytes": int,
-    "peak_bytes": int,
-    "scanned_bytes": int,
-}
-
-TIMELINE_KEYS = {"queue_us", "parse_us", "plan_us", "exec_us",
-                 "serialize_us", "total_us"}
-
-TRACE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
-
-
-def fail(message):
-    print(f"server_check: FAIL: {message}", file=sys.stderr)
-    return 1
-
-
-def load_json(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+# The /query timeline adds the server's own phases to the record's.
+SERVER_TIMELINE_SCHEMA = {**TIMELINE_SCHEMA, "serialize_us": int,
+                          "total_us": int}
 
 
 def check_query(path):
@@ -96,20 +75,10 @@ def check_query(path):
             return fail(f"{path}: rows[{i}] has a non-string cell")
 
     stats = doc["stats"]
-    if not isinstance(stats, dict):
-        return fail(f"{path}: stats is not an object")
-    if set(stats.keys()) != set(STATS_SCHEMA.keys()):
-        return fail(f"{path}: stats keys {sorted(stats.keys())}, expected"
-                    f" {sorted(STATS_SCHEMA.keys())}")
-    for key, kinds in STATS_SCHEMA.items():
-        value = stats[key]
-        kinds = kinds if isinstance(kinds, tuple) else (kinds,)
-        if bool not in kinds and isinstance(value, bool):
-            return fail(f"{path}: stats.{key}={value!r} is a bool")
-        if not isinstance(value, kinds) or \
-                (not isinstance(value, bool) and value < 0):
-            return fail(f"{path}: stats.{key}={value!r} is not a"
-                        " non-negative number")
+    rc = (check_object(path, stats, STATS_SCHEMA, "stats")
+          or check_non_negative(path, stats, STATS_SCHEMA, "stats"))
+    if rc:
+        return rc
     if stats["rows"] != len(rows):
         return fail(f"{path}: stats.rows={stats['rows']} !="
                     f" len(rows)={len(rows)}")
@@ -125,18 +94,13 @@ def check_query(path):
         return fail(f"{path}: trace_id={trace_id!r} is not 32 lower-case"
                     " hex chars")
     timeline = doc["timeline"]
-    if not isinstance(timeline, dict):
-        return fail(f"{path}: timeline is not an object")
-    if set(timeline.keys()) != TIMELINE_KEYS:
-        return fail(f"{path}: timeline keys {sorted(timeline.keys())},"
-                    f" expected {sorted(TIMELINE_KEYS)}")
-    for key in TIMELINE_KEYS:
-        value = timeline[key]
-        if not isinstance(value, int) or isinstance(value, bool) or \
-                value < 0:
-            return fail(f"{path}: timeline.{key}={value!r} is not a"
-                        " non-negative int")
-    components = sum(timeline[k] for k in TIMELINE_KEYS - {"total_us"})
+    rc = (check_object(path, timeline, SERVER_TIMELINE_SCHEMA, "timeline")
+          or check_non_negative(path, timeline, SERVER_TIMELINE_SCHEMA,
+                                "timeline"))
+    if rc:
+        return rc
+    components = sum(timeline[k] for k in SERVER_TIMELINE_SCHEMA
+                     if k != "total_us")
     if components > 0 and timeline["total_us"] == 0:
         return fail(f"{path}: timeline.total_us=0 with nonzero components")
     print(f"server_check: OK: {len(rows)} rows x {len(columns)} columns,"

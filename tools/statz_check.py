@@ -7,8 +7,10 @@ Two checks, any subset per invocation:
       The /debug/statz document: a catalog (the persisted ANALYZE stats
       catalog, or null before the first ANALYZE), the active
       FRAPPE_MISESTIMATE_QERROR threshold (number or null), the
-      worst-q-error fingerprint table, and the misestimate ring. Unknown
-      keys fail: operators' dashboards parse against this schema.
+      worst-q-error fingerprint table, and the retained misestimates
+      (each with the 32-hex trace id that joins it to /stats and
+      /debug/tracez). Unknown keys fail: operators' dashboards parse
+      against this schema.
 
   statz_check.py --metrics <metrics.txt>
       A /metrics capture: the catalog gauges (frappe_catalog_nodes /
@@ -28,7 +30,8 @@ import json
 import re
 import sys
 
-FP_RE = re.compile(r"^[0-9a-f]{16}$")
+from checklib import (FP_RE, TIMELINE_SCHEMA, TRACE_ID_RE, check_object,
+                      fail, load_json)
 
 CATALOG_SCHEMA = {
     "node_count": int,
@@ -82,53 +85,15 @@ FINGERPRINT_SCHEMA = {
     "timeline": dict,
 }
 
-TIMELINE_SCHEMA = {
-    "queue_us": int,
-    "parse_us": int,
-    "plan_us": int,
-    "exec_us": int,
-}
-
 MISESTIMATE_SCHEMA = {
     "ts_us": int,
     "fp": str,
+    "trace_id": str,
     "query": str,
     "est_rows": (int, float),
     "actual_rows": int,
     "qerror": (int, float),
 }
-
-
-def fail(message):
-    print(f"statz_check: FAIL: {message}", file=sys.stderr)
-    return 1
-
-
-def load_json(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
-
-
-def check_object(path, obj, schema, where):
-    """Strict schema check: exact key set, typed values, ints non-bool."""
-    if not isinstance(obj, dict):
-        return fail(f"{path}: {where} is not a JSON object")
-    missing = schema.keys() - obj.keys()
-    if missing:
-        return fail(f"{path}: {where} missing keys: {sorted(missing)}")
-    unknown = obj.keys() - schema.keys()
-    if unknown:
-        return fail(f"{path}: {where} unknown keys: {sorted(unknown)}")
-    for key, expected in schema.items():
-        value = obj[key]
-        kinds = expected if isinstance(expected, tuple) else (expected,)
-        # bool is an int subclass in Python; keep int checks strict.
-        if bool not in kinds and isinstance(value, bool):
-            return fail(f"{path}: {where}.{key}={value!r} is a bool")
-        if not isinstance(value, kinds):
-            names = "/".join(k.__name__ for k in kinds)
-            return fail(f"{path}: {where}.{key}={value!r} is not {names}")
-    return 0
 
 
 def check_bins(path, bins, where):
@@ -255,6 +220,9 @@ def check_statz(path):
         if not FP_RE.match(entry["fp"]):
             return fail(f"{path}: {where}.fp={entry['fp']!r} is not 16"
                         " lower-case hex chars")
+        if not TRACE_ID_RE.match(entry["trace_id"]):
+            return fail(f"{path}: {where}.trace_id={entry['trace_id']!r} is"
+                        " not 32 lower-case hex chars")
         # A recorded misestimate crossed a threshold >= 1 by construction.
         if entry["qerror"] < 1:
             return fail(f"{path}: {where}.qerror={entry['qerror']} < 1")

@@ -27,15 +27,11 @@ import json
 import re
 import sys
 
+from checklib import TRACE_ID_RE, fail
+
 REQUIRED_EVENT_KEYS = {"name", "ph", "pid", "tid", "ts", "dur"}
 SPAN_ID_RE = re.compile(r"^[0-9a-f]{16}$")
-TRACE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
 PARENT_SLACK_US = 1000.0
-
-
-def fail(message):
-    print(f"trace_check: FAIL: {message}", file=sys.stderr)
-    return 1
 
 
 def check_args_identity(i, event):
